@@ -38,7 +38,6 @@ from .samplers import (
     adam_update_vector,
     adammcmc_log_alpha,
     adammcmc_step,
-    correction_term_C,
     mala_step,
     sgd_step,
     sghmc_step,
@@ -70,7 +69,6 @@ __all__ = [
     "adammcmc_log_alpha",
     "adammcmc_step",
     "banana_target",
-    "correction_term_C",
     "ensemble_predict",
     "make_batches",
     "mala_step",

@@ -13,6 +13,10 @@ from .mlp import MicroMlp
 from .samplers import ChainState, StepInfo
 
 
+class NumericalAbort(RuntimeError):
+    """The chain reached a state no step can recover from."""
+
+
 @dataclass(frozen=True)
 class ChainSchedule:
     """Total step budget plus burn-in b, gap c and sample count N.
@@ -129,6 +133,8 @@ def run_chain(step_fn, state0: ChainState, schedule: ChainSchedule):
     step_fn maps ChainState -> (ChainState, StepInfo).  Returns
     (EnsembleSummary, ChainRecord); oracle hard errors propagate, soft
     numerical rejects are already folded into the infos by the samplers.
+    Raises NumericalAbort, naming the first bad step, when a position norm
+    or a logged loss is not finite.
     """
     n = schedule.total_steps
     record = ChainRecord(
@@ -160,6 +166,13 @@ def run_chain(step_fn, state0: ChainState, schedule: ChainSchedule):
         if k in wanted:
             samples[kept] = state.theta
             kept += 1
+    bad = ~(np.isfinite(record.theta_norm) & np.isfinite(record.loss))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericalAbort(
+            f"chain diverged at step {i + 1}: |theta| = {float(record.theta_norm[i])}, "
+            f"loss = {float(record.loss[i])}"
+        )
     record.n_boundary_rejects = boundary
     summary = EnsembleSummary(samples=samples, sample_steps=schedule.sample_steps)
     return summary, record

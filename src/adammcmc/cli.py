@@ -36,13 +36,18 @@ EXIT_BAD_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def resolve_out_dir(config: RunConfig, override: str | None) -> Path:
-    """--out beats the config; the env var rebases relative paths."""
-    out = Path(override) if override else Path(config.out_dir)
+def rebase_out_dir(out) -> Path:
+    """The env var, when set, rebases a relative output directory."""
+    out = Path(out)
     root = os.environ.get(OUT_ROOT_ENV)
     if root and not out.is_absolute():
         out = Path(root) / out
     return out
+
+
+def resolve_out_dir(config: RunConfig, override: str | None) -> Path:
+    """--out beats the config; the env var rebases relative paths."""
+    return rebase_out_dir(override or config.out_dir)
 
 
 def load_config(path: str, seed: int | None, out: str | None) -> RunConfig:
@@ -185,12 +190,7 @@ def cmd_compare_mh(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_verification
 
-    out_dir = None
-    if args.out:
-        out_dir = Path(args.out)
-        root = os.environ.get(OUT_ROOT_ENV)
-        if root and not out_dir.is_absolute():
-            out_dir = Path(root) / out_dir
+    out_dir = rebase_out_dir(args.out) if args.out else None
     results = run_verification(quick=args.quick, out_dir=out_dir)
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 TARGETS = ("quadratic", "noisy_quadratic", "banana", "mlp")
@@ -20,6 +21,23 @@ class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"config field '{field}': {message}")
         self.field = field
+
+
+# Accepted Python types per field annotation; bool is rejected separately,
+# since it is an int subclass.  Only "float | None" fields may be null.
+_FIELD_TYPES = {
+    "str": (str, "a string"),
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "float | None": ((int, float), "a number or null"),
+}
+
+
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 @dataclass
@@ -58,13 +76,22 @@ class RunConfig:
     out_dir: str = "runs"
 
     def validate(self) -> "RunConfig":
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.type == "float | None":
+                continue
+            types, noun = _FIELD_TYPES[f.type]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigError(f.name, f"must be {noun}, got {value!r}")
+            if f.type.startswith("float") and not _is_finite(value):
+                raise ConfigError(f.name, f"must be finite, got {value!r}")
         if self.target not in TARGETS:
             raise ConfigError("target", f"must be one of {TARGETS}, got {self.target!r}")
         if self.sampler not in SAMPLERS:
             raise ConfigError("sampler", f"must be one of {SAMPLERS}, got {self.sampler!r}")
         if self.correction not in CORRECTIONS:
             raise ConfigError("correction", f"must be one of {CORRECTIONS}, got {self.correction!r}")
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if self.dim < 1:
             raise ConfigError("dim", f"must be a positive integer, got {self.dim}")
         if self.target == "banana" and self.dim < 2:
             raise ConfigError("dim", "banana target needs dim >= 2")
@@ -110,7 +137,7 @@ class RunConfig:
             raise ConfigError("friction", f"must lie in [0, 1], got {self.friction}")
         if self.noise_scale < 0:
             raise ConfigError("noise_scale", f"must be non-negative, got {self.noise_scale}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ConfigError("seed", f"must be a non-negative integer, got {self.seed}")
         return self
 

@@ -443,7 +443,6 @@ def compare_full_vs_stochastic_mh(config: RunConfig, batch_size: int | None = No
     if config.burn_in > 0:
         warm_batches = BatchStream(n_points, batch_size, np.random.default_rng(batch_seq))
         warm_fn = make_step_fn(experiment, warm_batches)
-        warm_schedule = ChainSchedule(config.burn_in, 0, 1, 1)
         for _ in range(config.burn_in):
             warm_state, _ = warm_fn(warm_state)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainRecord, ChainSchedule, EnsembleSummary, run_chain
+from .chain import ChainRecord, ChainSchedule, EnsembleSummary, NumericalAbort, run_chain
 from .config import RunConfig
 from .losses import (
     BatchStream,
@@ -34,10 +34,6 @@ from .samplers import (
     sgd_step,
     sghmc_step,
 )
-
-
-class NumericalAbort(RuntimeError):
-    """The chain reached a state no step can recover from."""
 
 
 @dataclass

@@ -90,28 +90,6 @@ class ProlateCovariance:
             shrink = 1.0 / (1.0 + 1.0 / t) if t < np.inf else 1.0
         return iso - (cos_comp * cos_comp / s2) * shrink
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Matrix-vector product Sigma @ x, O(P)."""
-        x = np.asarray(x, dtype=float)
-        out = self.sigma**2 * x
-        if self.sigma_dir > 0.0:
-            out = out + self.sigma_dir**2 * float(self.direction @ x) * self.direction
-        return out
-
-    def solve(self, x: np.ndarray) -> np.ndarray:
-        """Matrix-vector product Sigma^{-1} @ x via the rank-one inverse."""
-        x = np.asarray(x, dtype=float)
-        s2 = self.sigma * self.sigma
-        out = x / s2
-        norm_d = _safe_norm(self.direction)
-        if self.sigma_dir == 0.0 or norm_d == 0.0:
-            return out
-        cos_comp = float(self.direction @ x) / norm_d
-        t = (self.sigma_dir * norm_d / self.sigma) ** 2
-        with np.errstate(divide="ignore", over="ignore"):
-            shrink = 1.0 / (1.0 + 1.0 / t) if t < np.inf else 1.0
-        return out - (cos_comp * shrink / (s2 * norm_d)) * self.direction
-
     def log_density(self, mean: np.ndarray, x: np.ndarray) -> float:
         """Gaussian log pdf of x under N(mean, Sigma)."""
         mean = np.asarray(mean, dtype=float)

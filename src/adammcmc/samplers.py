@@ -184,17 +184,6 @@ def log_correction(
     return total
 
 
-def correction_term_C(
-    m_next: Momenta,
-    grad_theta: np.ndarray,
-    grad_tau: np.ndarray,
-    cp: CorrectionParams,
-    ap: AdamParams,
-) -> float:
-    with np.errstate(over="ignore"):
-        return float(np.exp(log_correction(m_next, grad_theta, grad_tau, cp, ap)))
-
-
 def _finish_log_alpha(
     lam: float,
     loss_cur: float,
@@ -344,28 +333,26 @@ def adammcmc_step(
     cov_fwd = ProlateCovariance(pp.sigma, pp.sigma_dir, u)
     mean_fwd = theta - u
     tau = cov_fwd.sample(mean_fwd, state.rng)
-    log_fwd = cov_fwd.log_density(mean_fwd, tau)
-
     loss_tau = oracle.eval_batch(tau, batch)
-    grad_tau = None
-    log_c = 0.0
-    with np.errstate(invalid="ignore", over="ignore"):
-        if drift == "adam":
-            log_bwd = cov_fwd.log_density(tau - u, theta)
-            if cp.mode == "full":
-                grad_tau = oracle.grad_batch(tau, batch)
-                log_c = log_correction(m_next, grad_theta, grad_tau, cp, ap)
-        else:
+
+    if drift == "adam":
+        grad_tau = oracle.grad_batch(tau, batch) if cp.mode == "full" else None
+        log_alpha, in_tau = _adam_log_alpha(
+            target, cov_fwd, theta, tau, loss_theta, loss_tau,
+            m_next, grad_theta, grad_tau, ap, cp,
+        )
+    else:
+        log_fwd = cov_fwd.log_density(mean_fwd, tau)
+        with np.errstate(invalid="ignore", over="ignore"):
             grad_tau = oracle.grad_batch(tau, batch)
             u_bwd = ap.gamma * grad_tau
             cov_bwd = ProlateCovariance(pp.sigma, pp.sigma_dir, u_bwd)
             log_bwd = cov_bwd.log_density(tau - u_bwd, theta)
-
-    in_theta = target.prior.contains(theta)
-    in_tau = target.prior.contains(tau)
-    log_alpha = _finish_log_alpha(
-        target.lam, loss_theta, loss_tau, in_theta, in_tau, log_fwd, log_bwd, log_c
-    )
+        in_tau = target.prior.contains(tau)
+        log_alpha = _finish_log_alpha(
+            target.lam, loss_theta, loss_tau, target.prior.contains(theta), in_tau,
+            log_fwd, log_bwd, 0.0,
+        )
     a = state.rng.uniform()
     accepted = np.log(a) <= log_alpha
 
@@ -394,6 +381,31 @@ def adammcmc_step(
     return new_state, info
 
 
+def _adam_log_alpha(
+    target: GibbsTarget, cov: ProlateCovariance, theta: np.ndarray, tau: np.ndarray,
+    loss_theta: float, loss_tau: float, m_next: Momenta, grad_theta, grad_tau,
+    ap: AdamParams, cp: CorrectionParams,
+):
+    """(log acceptance, tau in prior) of the drift "adam" move theta -> tau.
+
+    The one assembly of this acceptance, run by adammcmc_step on its batch
+    evaluations and by adammcmc_log_alpha on full-batch ones.  Both densities
+    use cov, whose direction is u: forward around theta - u, backward around
+    tau - u.  The gradients are read only in full correction mode.
+    """
+    u = cov.direction
+    log_fwd = cov.log_density(theta - u, tau)
+    with np.errstate(invalid="ignore", over="ignore"):
+        log_bwd = cov.log_density(tau - u, theta)
+        log_c = log_correction(m_next, grad_theta, grad_tau, cp, ap)
+    in_tau = target.prior.contains(tau)
+    log_alpha = _finish_log_alpha(
+        target.lam, loss_theta, loss_tau, target.prior.contains(theta), in_tau,
+        log_fwd, log_bwd, log_c,
+    )
+    return log_alpha, in_tau
+
+
 def adammcmc_log_alpha(
     target: GibbsTarget,
     theta: np.ndarray,
@@ -406,31 +418,19 @@ def adammcmc_log_alpha(
 ) -> float:
     """Log acceptance for proposing tau from (theta, m_next) at step k.
 
-    Full-batch evaluation of the same formula adammcmc_step uses; this is the
-    hook the detailed-balance diagnostics drive in both directions.
+    Evaluates full-batch and runs the acceptance adammcmc_step runs; this is
+    the hook the detailed-balance diagnostics drive in both directions.
     """
     theta = np.asarray(theta, dtype=float)
     tau = np.asarray(tau, dtype=float)
     oracle = target.oracle
-    u = adam_update_vector(m_next, k, ap)
-    cov = ProlateCovariance(pp.sigma, pp.sigma_dir, u)
-    log_fwd = cov.log_density(theta - u, tau)
-    log_bwd = cov.log_density(tau - u, theta)
-    loss_theta = oracle.eval(theta)
-    loss_tau = oracle.eval(tau)
-    log_c = 0.0
-    if cp.mode == "full":
-        log_c = log_correction(m_next, oracle.grad(theta), oracle.grad(tau), cp, ap)
-    return _finish_log_alpha(
-        target.lam,
-        loss_theta,
-        loss_tau,
-        target.prior.contains(theta),
-        target.prior.contains(tau),
-        log_fwd,
-        log_bwd,
-        log_c,
-    )
+    cov = ProlateCovariance(pp.sigma, pp.sigma_dir, adam_update_vector(m_next, k, ap))
+    full = cp.mode == "full"
+    return _adam_log_alpha(
+        target, cov, theta, tau, oracle.eval(theta), oracle.eval(tau), m_next,
+        oracle.grad(theta) if full else None, oracle.grad(tau) if full else None,
+        ap, cp,
+    )[0]
 
 
 def adam_step(state: ChainState, oracle: LossOracle, ap: AdamParams, batch=None):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import spearmanr
 
-from .chain import ensemble_predict
+from .chain import ChainSchedule, ensemble_predict, run_chain
 from .config import RunConfig
 from .diagnostics import (
     GridDensity,
@@ -54,15 +54,11 @@ def batch_means_se(series: np.ndarray, n_batches: int = 100) -> float:
     return float(means.std(ddof=1) / np.sqrt(n_batches))
 
 
-def _run_adammcmc_chain(target, ap, pp, steps, seed, cp=CorrectionParams.unit()):
-    state = ChainState.init(np.zeros(target.dim), seed)
-    thetas = np.empty((steps, target.dim))
-    accepted = 0
-    for i in range(steps):
-        state, info = adammcmc_step(state, target, ap, pp, cp)
-        thetas[i] = state.theta
-        accepted += info.accepted
-    return thetas, accepted / steps
+def _adammcmc_chain(target, ap, pp, theta0, rng, schedule):
+    """run_chain over the unit-correction adammcmc step from theta0."""
+    return run_chain(
+        lambda s: adammcmc_step(s, target, ap, pp), ChainState.init(theta0, rng), schedule
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +178,11 @@ def criterion_posterior_moments():
     target = quadratic_target(2, lam=1.0, half_width=10.0)
     ap = AdamParams(gamma=1e-2, beta1=0.99, beta2=0.99)
     pp = ProposalParams(sigma=0.3, sigma_dir=10.0)
-    thetas, acc = _run_adammcmc_chain(target, ap, pp, steps=200_000, seed=42)
-    tail = thetas[20_000:]
+    summary, record = _adammcmc_chain(  # keeps the position after every step
+        target, ap, pp, np.zeros(2), 42, ChainSchedule(200_000, 0, 1, 200_000)
+    )
+    acc = record.acceptance_rate
+    tail = summary.samples[20_000:]
     truth = truncated_gaussian_variance(1.0, 10.0)
 
     details = []
@@ -213,8 +212,10 @@ def criterion_tv_convergence():
     grid = GridDensity.from_target(target, bounds=[(-5.0, 5.0)], resolution=32)
     ap = AdamParams(gamma=1e-3, beta1=0.99, beta2=0.99)
     pp = ProposalParams(sigma=0.5, sigma_dir=5.0)
-    thetas, _ = _run_adammcmc_chain(target, ap, pp, steps=100_000, seed=7)
-    rows = tv_trace(thetas[:, 0], grid, checkpoints=[100, 1_000, 10_000, 100_000])
+    summary, _ = _adammcmc_chain(
+        target, ap, pp, np.zeros(1), 7, ChainSchedule(100_000, 0, 1, 100_000)
+    )
+    rows = tv_trace(summary.samples[:, 0], grid, checkpoints=[100, 1_000, 10_000, 100_000])
     tvs = [tv for _, tv in rows]
     decreasing = all(b < a for a, b in zip(tvs, tvs[1:]))
     passed = decreasing and tvs[-1] < 0.05
@@ -260,30 +261,22 @@ def criterion_mala_equivalence():
 # ---------------------------------------------------------------------------
 
 
-def _mlp_chain_acceptance(target, ap, pp, steps, seed):
-    rng = np.random.default_rng(seed)
-    state = ChainState.init(target.oracle.net.init_params(rng), rng)
-    accepted = 0
-    for _ in range(steps):
-        state, info = adammcmc_step(state, target, ap, pp)
-        accepted += info.accepted
-    return accepted / steps
-
-
 def criterion_acceptance_trends():
     net = MicroMlp()
     x, y, _, _ = two_moons()
     target = mlp_target(net, x, y, lam=1.0)
-    steps = 2_000
+    ap = AdamParams(gamma=1e-3, beta1=0.99, beta2=0.99)
+
+    def acceptance(pp):
+        rng = np.random.default_rng(0)
+        theta0 = net.init_params(rng)
+        _, record = _adammcmc_chain(target, ap, pp, theta0, rng, ChainSchedule(2_000, 0, 1, 1))
+        return record.acceptance_rate
 
     # (a) small sigma: acceptance rises in sigma_dir, then collapses
     sigma_small = 0.05 * 2.0  # 5% of the default noise level
     dir_grid = [0.0, 10.0, 100.0, 1_000.0, 10_000.0]
-    ap_a = AdamParams(gamma=1e-3, beta1=0.99, beta2=0.99)
-    acc_dir = [
-        _mlp_chain_acceptance(target, ap_a, ProposalParams(sigma_small, sd), steps, 0)
-        for sd in dir_grid
-    ]
+    acc_dir = [acceptance(ProposalParams(sigma_small, sd)) for sd in dir_grid]
     peak = int(np.argmax(acc_dir))
     collapse = peak < len(dir_grid) - 1 and acc_dir[-1] < 0.5 * acc_dir[peak]
     rising = acc_dir[: peak + 1]
@@ -296,14 +289,11 @@ def criterion_acceptance_trends():
     # (b) without directional noise: interior acceptance maximum in sigma;
     # with directional noise: acceptance >= 0.9 as sigma -> 0
     sigma_grid = [0.01, 0.05, 0.2, 1.0, 5.0]
-    acc_iso = [
-        _mlp_chain_acceptance(target, ap_a, ProposalParams(s, 0.0), steps, 0)
-        for s in sigma_grid
-    ]
+    acc_iso = [acceptance(ProposalParams(s, 0.0)) for s in sigma_grid]
     interior = int(np.argmax(acc_iso))
     trend_b1 = 0 < interior < len(sigma_grid) - 1
 
-    acc_low = _mlp_chain_acceptance(target, ap_a, ProposalParams(0.01, 20.0), steps, 0)
+    acc_low = acceptance(ProposalParams(0.01, 20.0))
     trend_b2 = acc_low >= 0.9
 
     passed = trend_a and trend_b1 and trend_b2
@@ -321,26 +311,21 @@ def criterion_acceptance_trends():
 # ---------------------------------------------------------------------------
 
 
-SPREAD_STEPS, SPREAD_BURN, SPREAD_GAP, SPREAD_MEMBERS = 4_000, 1_500, 250, 10
+SPREAD_SCHEDULE = ChainSchedule(4_000, 1_500, 250, 10)
 
 
 def _spread_run(target, net, test_inputs, ood, sigma, seed):
     """Median in-dist and OOD spread of one chain's ensemble, plus the
     chain's accepted steps after burn-in and its number of distinct members.
+    The ensemble is SPREAD_SCHEDULE's 10 members, at steps 1750, 2000, ..., 4000.
     """
     ap = AdamParams(gamma=1e-2, beta1=0.99, beta2=0.99)
     pp = ProposalParams(sigma=sigma, sigma_dir=net.n_params / 100.0)
     rng = np.random.default_rng(seed)
-    state = ChainState.init(net.init_params(rng), rng)
-    samples = []
-    accepted = 0
-    for i in range(SPREAD_STEPS):
-        state, info = adammcmc_step(state, target, ap, pp)
-        if i >= SPREAD_BURN:
-            accepted += info.accepted
-            if (i - SPREAD_BURN) % SPREAD_GAP == SPREAD_GAP - 1:
-                samples.append(state.theta.copy())
-    samples = np.stack(samples[:SPREAD_MEMBERS])
+    theta0 = net.init_params(rng)
+    summary, record = _adammcmc_chain(target, ap, pp, theta0, rng, SPREAD_SCHEDULE)
+    samples = summary.samples
+    accepted = int(record.accepted[SPREAD_SCHEDULE.burn_in :].sum())
     distinct = len(np.unique(samples, axis=0))
     _, spread_in = ensemble_predict(samples, net, test_inputs)
     _, spread_ood = ensemble_predict(samples, net, ood)
@@ -380,10 +365,10 @@ def criterion_spread_monotonicity():
     ood_gap_ok = med_ood[:, gap_idx].mean() > med_in[:, gap_idx].mean()
 
     passed = monotone_ok and ood_gap_ok
-    post_burn = len(seeds) * (SPREAD_STEPS - SPREAD_BURN)
+    post_burn = len(seeds) * (SPREAD_SCHEDULE.total_steps - SPREAD_SCHEDULE.burn_in)
     chain_stats = "; ".join(
         f"sigma={s:g}: acceptance {a / post_burn:.4f} ({a}/{post_burn}), "
-        f"distinct members {d}/{len(seeds) * SPREAD_MEMBERS}"
+        f"distinct members {d}/{len(seeds) * SPREAD_SCHEDULE.n_samples}"
         for s, a, d in zip(sigma_grid, accepted, distinct)
     )
     return passed, (

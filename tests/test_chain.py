@@ -7,6 +7,7 @@ from adammcmc.chain import (
     ChainRecord,
     ChainSchedule,
     EnsembleSummary,
+    NumericalAbort,
     ensemble_predict,
     load_samples_csv,
     run_chain,
@@ -92,6 +93,12 @@ class TestRunChain:
         _, record = run_chain(make_stub_step(), state0, sched)
         assert record.step.size == 33
         assert record.step[0] == 1 and record.step[-1] == 33
+
+    def test_non_finite_position_aborts_at_first_bad_step(self):
+        path = [np.zeros(2), np.ones(2), np.array([np.inf, 0.0]), np.array([np.nan, 0.0])]
+        state0 = ChainState.init(path[0], 0)
+        with pytest.raises(NumericalAbort, match="step 2"):
+            run_chain(make_stub_step(path), state0, ChainSchedule(5, 0, 1, 1))
 
 
 class TestRecordCsv:

@@ -1,5 +1,6 @@
 """Config round-trips, CLI exit codes, output files and determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -99,6 +100,32 @@ class TestCmdRun:
         path.write_text(json.dumps(data))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "sigma" in capsys.readouterr().err
+
+    MISTYPED = {"lam": '"a"', "steps": '"10"', "sigma": "null", "seed": "true", "gamma": "Infinity"}
+
+    @pytest.mark.parametrize("field", MISTYPED)
+    def test_mistyped_field_exit_2(self, tmp_path, capsys, field):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"{field}": {self.MISTYPED[field]}}}')
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"config field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_diverging_chain_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "sgd.json"
+        path.write_text(
+            json.dumps(
+                {"sampler": "sgd", "gamma": 3.0, "steps": 2000, "burn_in": 1000,
+                 "gap": 100, "n_samples": 10}
+            )
+        )
+        out = tmp_path / "o"
+        with np.errstate(all="ignore"):
+            code = main(["run", "--config", str(path), "--out", str(out)])
+        assert code == 3
+        assert "diverged at step" in capsys.readouterr().err
+        assert not (out / "record.csv").exists()
+        assert not (out / "samples.csv").exists()
 
     def test_unknown_key_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -285,3 +312,40 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert "run complete" in proc.stdout
+
+
+class TestGoldenOutputs:
+    """Pinned digests of record.csv + samples.csv.
+
+    Reruns on one commit giving the same bytes is criterion 10; these digests
+    also pin the bytes across commits, so a change that alters sampler output
+    must update them and say so.  Recorded with numpy 2.4.6 and
+    scipy-openblas 0.3.31 on x86-64; another BLAS may round the MLP's
+    matrix products differently.
+    """
+
+    CONFIGS = {
+        # the README quadratic config cut to 300 steps
+        "quadratic": (
+            dict(target="quadratic", dim=2, sampler="adammcmc", lam=1.0, gamma=0.01,
+                 sigma=0.3, sigma_dir=10.0, beta1=0.99, beta2=0.99, steps=300,
+                 burn_in=100, gap=20, n_samples=10, seed=0),
+            "1d81076d2ddae2874050e56291256b7cebf84f731485bdb4f5b6345351849ddc",
+        ),
+        "mlp": (
+            dict(target="mlp", sampler="adammcmc", lam=1.0, gamma=0.001, sigma=0.01,
+                 sigma_dir=20.0, beta1=0.99, beta2=0.99, steps=200, burn_in=100,
+                 gap=10, n_samples=10, seed=0),
+            "fc4cf173f0a14aa1060ea744d82bc56dfe3fa5819764f852421c8f5ef337c53d",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_digest(self, tmp_path, name):
+        config, digest = self.CONFIGS[name]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        blob = (out / "record.csv").read_bytes() + (out / "samples.csv").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == digest

@@ -16,7 +16,6 @@ from adammcmc.samplers import (
     adam_update_vector,
     adammcmc_log_alpha,
     adammcmc_step,
-    correction_term_C,
     log_correction,
     mala_step,
     sgd_step,
@@ -398,7 +397,7 @@ class TestCorrectionTerm:
         cp = CorrectionParams.full_from_s2(1e-4, ap)
         g = np.array([0.3, -0.2])
         m = Momenta(np.array([0.1, 0.1]), np.array([0.2, 0.3]))
-        assert correction_term_C(m, g, g, cp, ap) == 1.0
+        assert log_correction(m, g, g, cp, ap) == 0.0
 
     def test_momenta_at_proposal_gradients_give_at_least_one(self):
         ap = AdamParams(beta1=0.9, beta2=0.9)
@@ -406,7 +405,7 @@ class TestCorrectionTerm:
         g_tau = np.array([0.3, -0.2])
         g_theta = np.array([0.1, 0.4])
         m = Momenta(g_tau, g_tau**2)
-        assert correction_term_C(m, g_theta, g_tau, cp, ap) >= 1.0
+        assert log_correction(m, g_theta, g_tau, cp, ap) >= 0.0
 
     def test_matches_direct_formula(self):
         # independent arithmetic evaluation on a small random instance
@@ -452,7 +451,8 @@ class TestLogAlphaHook:
         assert adammcmc_log_alpha(target, theta, theta, m, 4, ap, pp, cp) == 0.0
 
     def test_consistent_with_step_formula(self):
-        # The hook must reproduce the in-step acceptance on a forced proposal.
+        # The hook must reproduce the in-step acceptance on a forced
+        # proposal bit for bit, in unit and in full correction mode.
         target = quadratic_target(2, lam=2.0)
         ap = AdamParams(gamma=0.05, beta1=0.9, beta2=0.9)
         pp = ProposalParams(sigma=0.3, sigma_dir=1.5)
@@ -464,13 +464,13 @@ class TestLogAlphaHook:
         u = adam_update_vector(m_next, 0, ap)
         tau = theta0 - u + pp.sigma * z + pp.sigma_dir * xi * u
 
-        state = ChainState.init(theta0, 0)
-        state.rng = StubRng(z, normal_scalar=xi)
-        _, info = adammcmc_step(state, target, ap, pp)
-        hook = adammcmc_log_alpha(
-            target, theta0, tau, m_next, 0, ap, pp, CorrectionParams.unit()
-        )
-        assert info.log_alpha == pytest.approx(hook, rel=1e-12, abs=1e-15)
+        for cp in (CorrectionParams.unit(), CorrectionParams.full_from_s2(1e-2, ap)):
+            state = ChainState.init(theta0, 0)
+            state.rng = StubRng(z, normal_scalar=xi)
+            _, info = adammcmc_step(state, target, ap, pp, cp)
+            hook = adammcmc_log_alpha(target, theta0, tau, m_next, 0, ap, pp, cp)
+            assert np.isfinite(hook) and hook < 0.0
+            assert info.log_alpha == hook
 
 
 class TestParamValidation:
