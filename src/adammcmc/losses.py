@@ -9,6 +9,7 @@ the box.
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -22,9 +23,9 @@ class LossOracle(ABC):
 
     `eval`/`grad` are the full-data versions; `eval_batch`/`grad_batch`
     average over an index subset only.  Passing `indices=None` means the full
-    dataset, and the full-data path is literally the batch path on
-    arange(n_points), so batch_size = n reproduces full evaluations bit for
-    bit.
+    dataset: the stored arrays are used as they are, uncopied, and give the
+    same bits as the batch path on arange(n_points), so batch_size = n
+    reproduces full evaluations bit for bit.
     """
 
     dim: int
@@ -33,7 +34,6 @@ class LossOracle(ABC):
     def __init__(self, dim: int, n_points: int):
         self.dim = int(dim)
         self.n_points = int(n_points)
-        self._all_indices = np.arange(self.n_points)
 
     @abstractmethod
     def eval_batch(self, theta: np.ndarray, indices) -> float: ...
@@ -47,8 +47,10 @@ class LossOracle(ABC):
     def grad(self, theta: np.ndarray) -> np.ndarray:
         return self.grad_batch(theta, None)
 
-    def _resolve(self, indices):
-        return self._all_indices if indices is None else np.asarray(indices)
+    @staticmethod
+    def _rows(data: np.ndarray, indices) -> np.ndarray:
+        """The rows of `data` a batch averages over: `data` itself for None."""
+        return data if indices is None else data[np.asarray(indices)]
 
     def check_theta(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -88,13 +90,13 @@ class NoisyQuadraticLoss(LossOracle):
 
     def eval_batch(self, theta, indices):
         theta = self.check_theta(theta)
-        c = self.centers[self._resolve(indices)]
+        c = self._rows(self.centers, indices)
         diff = theta[None, :] - c
         return 0.5 * float(np.mean(np.sum(diff * diff, axis=1)))
 
     def grad_batch(self, theta, indices):
         theta = self.check_theta(theta)
-        c = self.centers[self._resolve(indices)]
+        c = self._rows(self.centers, indices)
         return theta - c.mean(axis=0)
 
 
@@ -129,10 +131,20 @@ class BananaLoss(LossOracle):
 
 
 class MlpClassificationLoss(LossOracle):
-    """Mean cross entropy of a MicroMlp on a fixed labeled dataset."""
+    """Mean cross entropy of a MicroMlp on a fixed labeled dataset.
+
+    `eval_batch` keeps its forward pass; a `grad_batch` at a bitwise-equal
+    theta with the same indices back-propagates from it instead of sweeping
+    forward again.  A chain evaluates the proposal, then, once accepted, takes
+    the gradient there on the next step, so that gradient costs only the
+    backward half.  The kept pass lives only as long as the theta array it
+    was computed for: a rejected proposal or a finished chain releases it.
+    """
 
     def __init__(self, net: MicroMlp, inputs: np.ndarray, labels: np.ndarray):
-        inputs = np.asarray(inputs, dtype=float)
+        # C order, like the fancy-indexed copies batches see, so full-batch
+        # products read the same layout and give the same bits
+        inputs = np.ascontiguousarray(inputs, dtype=float)
         labels = np.asarray(labels, dtype=int)
         if inputs.shape[0] != labels.shape[0]:
             raise ValueError("inputs and labels disagree on the number of points")
@@ -140,17 +152,39 @@ class MlpClassificationLoss(LossOracle):
         self.net = net
         self.inputs = inputs
         self.labels = labels
+        # (weakref to theta, theta bytes, indices copy, Activations) of the last eval_batch
+        self._memo = None
+
+    def _batch(self, indices):
+        return self._rows(self.inputs, indices), self._rows(self.labels, indices)
 
     def eval_batch(self, theta, indices):
         theta = self.check_theta(theta)
-        idx = self._resolve(indices)
-        return self.net.loss(theta, self.inputs[idx], self.labels[idx])
+        loss, saved = self.net.loss_forward(theta, *self._batch(indices))
+        kept = None if indices is None else np.array(indices)
+        self._memo = (weakref.ref(theta, self._forget), theta.tobytes(), kept, saved)
+        return loss
+
+    def _forget(self, ref):
+        memo = self._memo
+        if memo is not None and memo[0] is ref:
+            self._memo = None
 
     def grad_batch(self, theta, indices):
         theta = self.check_theta(theta)
-        idx = self._resolve(indices)
-        _, g = self.net.loss_and_grad(theta, self.inputs[idx], self.labels[idx])
+        memo = self._memo  # read once: an interleaved eval_batch can only cause a miss
+        if memo is not None:
+            _, key, kept, saved = memo
+            if key == theta.tobytes() and _same_rows(kept, indices):
+                return self.net.loss_backward(theta, saved)
+        _, g = self.net.loss_and_grad(theta, *self._batch(indices))
         return g
+
+
+def _same_rows(kept, indices) -> bool:
+    if kept is None or indices is None:
+        return kept is None and indices is None
+    return np.array_equal(kept, indices)
 
 
 def make_batches(n: int, batch_size: int, rng: np.random.Generator):

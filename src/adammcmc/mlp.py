@@ -3,14 +3,26 @@
 The network is deliberately tiny (default 2-16-16-2) and its parameters live
 in one flat vector, so samplers can treat it like any other loss surface.
 The gradient is a hand-written reverse sweep over the fixed architecture;
-no autodiff framework involved.
+no autodiff framework involved.  The forward half (`loss_forward`) returns
+the activations the reverse sweep needs, so a caller that has evaluated the
+loss can take the gradient at the same point without a second forward pass.
 """
 
 from __future__ import annotations
 
 import csv
+from typing import NamedTuple
 
 import numpy as np
+
+
+class Activations(NamedTuple):
+    """What one forward sweep keeps for the backward sweep."""
+
+    hidden: list[np.ndarray]  # [inputs, h_1, ..., h_L]
+    logits: np.ndarray
+    lse: np.ndarray  # log-sum-exp of each logits row
+    labels: np.ndarray
 
 
 class MicroMlp:
@@ -53,13 +65,17 @@ class MicroMlp:
             layers.append((w, bias))
         return layers
 
-    def logits(self, theta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        h = np.atleast_2d(np.asarray(inputs, dtype=float))
-        layers = self.unpack(theta)
+    def _hidden(self, layers, inputs: np.ndarray) -> list[np.ndarray]:
+        """The hidden-layer sweep: [inputs, h_1, ..., h_L], h_k = relu(h_{k-1} W + b)."""
+        hs = [np.atleast_2d(np.asarray(inputs, dtype=float))]
         for w, b in layers[:-1]:
-            h = np.maximum(h @ w + b, 0.0)
+            hs.append(np.maximum(hs[-1] @ w + b, 0.0))
+        return hs
+
+    def logits(self, theta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+        layers = self.unpack(theta)
         w, b = layers[-1]
-        return h @ w + b
+        return self._hidden(layers, inputs)[-1] @ w + b
 
     def forward(self, theta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """Class probabilities, one row per input (log-sum-exp stabilized)."""
@@ -70,37 +86,27 @@ class MicroMlp:
 
     def loss(self, theta: np.ndarray, inputs: np.ndarray, labels: np.ndarray) -> float:
         """Mean cross entropy over the batch."""
-        z = self.logits(theta, inputs)
-        zmax = z.max(axis=1)
-        lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
-        picked = z[np.arange(z.shape[0]), np.asarray(labels, dtype=int)]
-        return float(np.mean(lse - picked))
+        return self.loss_forward(theta, inputs, labels)[0]
 
-    def loss_and_grad(self, theta, inputs, labels):
-        """Mean cross entropy and its gradient w.r.t. the flat parameters."""
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        labels = np.asarray(labels, dtype=int)
-        n = inputs.shape[0]
+    def loss_forward(self, theta, inputs, labels) -> tuple[float, Activations]:
+        """Mean cross entropy plus the activations `loss_backward` needs."""
         layers = self.unpack(theta)
-
-        # forward, keeping pre-activations for the backward sweep
-        hs = [inputs]
-        zs = []
-        h = inputs
-        for w, b in layers[:-1]:
-            z = h @ w + b
-            zs.append(z)
-            h = np.maximum(z, 0.0)
-            hs.append(h)
+        hs = self._hidden(layers, inputs)
+        labels = np.asarray(labels, dtype=int)
         w, b = layers[-1]
-        logits = h @ w + b
-
+        logits = hs[-1] @ w + b
         zmax = logits.max(axis=1)
         lse = zmax + np.log(np.exp(logits - zmax[:, None]).sum(axis=1))
-        loss = float(np.mean(lse - logits[np.arange(n), labels]))
+        loss = float(np.mean(lse - logits[np.arange(logits.shape[0]), labels]))
+        return loss, Activations(hs, logits, lse, labels)
 
-        probs = np.exp(logits - lse[:, None])
-        dz = probs
+    def loss_backward(self, theta, saved: Activations) -> np.ndarray:
+        """Gradient of the mean cross entropy w.r.t. the flat parameters,
+        back-propagated from the activations `loss_forward` saved at theta."""
+        layers = self.unpack(theta)
+        hs, labels = saved.hidden, saved.labels
+        n = hs[0].shape[0]
+        dz = np.exp(saved.logits - saved.lse[:, None])
         dz[np.arange(n), labels] -= 1.0
         dz /= n
 
@@ -111,10 +117,15 @@ class MicroMlp:
             db = dz.sum(axis=0)
             grads[i] = (dw, db)
             if i > 0:
-                dz = (dz @ w.T) * (zs[i - 1] > 0.0)
+                # relu(z) > 0 exactly when z > 0 (NaN included)
+                dz = (dz @ w.T) * (hs[i] > 0.0)
 
-        flat = np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in grads])
-        return loss, flat
+        return np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in grads])
+
+    def loss_and_grad(self, theta, inputs, labels):
+        """Mean cross entropy and its gradient w.r.t. the flat parameters."""
+        loss, saved = self.loss_forward(theta, inputs, labels)
+        return loss, self.loss_backward(theta, saved)
 
 
 def two_moons(n_train=2000, n_test=2000, noise=0.15, seed=20240517):

@@ -13,6 +13,10 @@ import pytest
 
 from adammcmc import verify
 
+# The criteria run real chains (minutes in total); `pytest -m "not slow"`
+# leaves them out for a fast edit-test loop.
+pytestmark = pytest.mark.slow
+
 
 def run_criterion(name, fn):
     passed, detail = fn()

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from adammcmc.config import RunConfig
+from adammcmc.experiments import run_experiment
 from adammcmc.losses import (
     BananaLoss,
     BatchStream,
@@ -78,8 +80,14 @@ class TestGradients:
             fd, valid = central_diff_grad(
                 oracle.eval, theta, mask_fn=lambda t: relu_mask(oracle, t)
             )
+            # cold: the last evaluation was at a perturbed point
             got = oracle.grad(theta)
             np.testing.assert_allclose(got[valid], fd[valid], rtol=1e-5, atol=1e-7)
+            # warm: the gradient right after an evaluation at the same point
+            oracle.eval(theta)
+            warm = oracle.grad(theta)
+            np.testing.assert_allclose(warm[valid], fd[valid], rtol=1e-5, atol=1e-7)
+            np.testing.assert_array_equal(warm, got)
             n_skipped += int((~valid).sum())
         # kink crossings must stay rare or the check is vacuous
         assert n_skipped <= oracle.dim
@@ -140,6 +148,108 @@ class TestBatching:
         oracle = MlpClassificationLoss(net, x, y)
         theta = net.init_params(np.random.default_rng(1))
         assert oracle.eval_batch(theta, np.arange(24)) == oracle.eval(theta)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Counts hidden-layer sweeps of every MicroMlp while the test runs."""
+    count = [0]
+    original = MicroMlp._hidden
+
+    def counted(self, layers, inputs):
+        count[0] += 1
+        return original(self, layers, inputs)
+
+    monkeypatch.setattr(MicroMlp, "_hidden", counted)
+    return count
+
+
+class TestMlpForwardMemo:
+    """eval_batch keeps its forward pass for a grad_batch at the same point."""
+
+    @staticmethod
+    def make_case():
+        net = MicroMlp((2, 8, 8, 2))
+        x, y, _, _ = two_moons(n_train=64, n_test=8, seed=3)
+        rng = np.random.default_rng(7)
+        return net, MlpClassificationLoss(net, x, y), x, y, rng
+
+    @staticmethod
+    def fresh_grad(net, x, y, theta, indices):
+        rows = slice(None) if indices is None else indices
+        return net.loss_and_grad(theta, x[rows], y[rows])[1]
+
+    @pytest.mark.parametrize("indices", [None, np.array([1, 4, 9, 10, 33, 50])])
+    def test_warm_gradient_is_bitwise_fresh(self, indices, sweeps):
+        net, oracle, x, y, rng = self.make_case()
+        theta = net.init_params(rng)
+        oracle.eval_batch(theta, indices)
+        before = sweeps[0]
+        got = oracle.grad_batch(theta, indices)
+        assert sweeps[0] == before  # served from the kept forward pass
+        np.testing.assert_array_equal(got, self.fresh_grad(net, x, y, theta, indices))
+
+    def test_other_theta_is_recomputed(self):
+        net, oracle, x, y, rng = self.make_case()
+        theta1, theta2 = net.init_params(rng), net.init_params(rng)
+        oracle.eval(theta1)
+        got = oracle.grad(theta2)
+        np.testing.assert_array_equal(got, self.fresh_grad(net, x, y, theta2, None))
+        assert not np.array_equal(got, self.fresh_grad(net, x, y, theta1, None))
+
+    def test_theta_mutated_in_place_is_recomputed(self):
+        net, oracle, x, y, rng = self.make_case()
+        theta = net.init_params(rng)
+        before = self.fresh_grad(net, x, y, theta, None)
+        oracle.eval(theta)
+        theta += 0.1 * rng.standard_normal(theta.size)
+        got = oracle.grad(theta)
+        np.testing.assert_array_equal(got, self.fresh_grad(net, x, y, theta, None))
+        assert not np.array_equal(got, before)
+
+    def test_kept_pass_is_released_with_its_theta(self):
+        # a retained oracle must not pin the activations of a dead point
+        net, oracle, x, y, rng = self.make_case()
+        theta = net.init_params(rng)
+        oracle.eval(theta)
+        assert oracle._memo is not None
+        del theta
+        assert oracle._memo is None
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [(np.array([0, 1, 2, 3]), np.array([0, 1, 2, 5])), (np.array([0, 1, 2, 3]), None),
+         (None, np.arange(32))],
+        ids=["other-batch", "batch-then-full", "full-then-batch"],
+    )
+    def test_other_indices_are_recomputed(self, first, second):
+        net, oracle, x, y, rng = self.make_case()
+        theta = net.init_params(rng)
+        oracle.eval_batch(theta, first)
+        got = oracle.grad_batch(theta, second)
+        np.testing.assert_array_equal(got, self.fresh_grad(net, x, y, theta, second))
+
+    @pytest.mark.parametrize("batch_size", [0, 32])
+    def test_one_sweep_per_evaluation_in_a_chain(self, batch_size, sweeps, monkeypatch):
+        calls = {"eval_batch": 0, "grad_batch": 0}
+        for name in calls:
+            original = getattr(MlpClassificationLoss, name)
+
+            def counted(self, theta, indices, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(self, theta, indices)
+
+            monkeypatch.setattr(MlpClassificationLoss, name, counted)
+        config = RunConfig(
+            target="mlp", sampler="adammcmc", gamma=1e-3, sigma=0.01, sigma_dir=20.0,
+            steps=50, burn_in=40, gap=5, n_samples=2, batch_size=batch_size,
+        )
+        result = run_experiment(config)
+        assert result.record.acceptance_rate > 0.5
+        # every gradient the chain takes follows an evaluation at its point,
+        # so only evaluations sweep forward
+        assert calls["grad_batch"] > 0.5 * config.steps
+        assert sweeps[0] == calls["eval_batch"]
 
 
 class TestNoisyQuadratic:
