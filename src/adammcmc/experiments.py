@@ -112,9 +112,12 @@ def initial_state(experiment: Experiment, init_rng, chain_rng) -> ChainState:
     else:
         theta0 = 0.1 * init_rng.standard_normal(cfg.dim)
     state = ChainState.init(theta0, chain_rng)
-    loss0 = experiment.target.oracle.eval(theta0)
+    # evaluated at the state's own copy, so the first step reuses the loss and,
+    # for the classifier, the forward pass the oracle keeps for that array
+    loss0 = experiment.target.oracle.eval(state.theta)
     if not np.isfinite(loss0):
         raise NumericalAbort(f"initial loss is not finite: {loss0}")
+    state.cached_loss = loss0
     return state
 
 

@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .chain import ChainSchedule, ensemble_predict, run_chain
 from .config import RunConfig
@@ -281,6 +280,8 @@ def criterion_acceptance_trends():
     collapse = peak < len(dir_grid) - 1 and acc_dir[-1] < 0.5 * acc_dir[peak]
     rising = acc_dir[: peak + 1]
     if len(rising) >= 3:
+        from scipy.stats import spearmanr  # kept off the import path of the sampler
+
         rho = float(spearmanr(dir_grid[: peak + 1], rising).statistic)
     else:
         rho = 1.0 if len(rising) == 2 and rising[1] > rising[0] else 0.0

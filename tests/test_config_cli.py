@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adammcmc.chain import ChainRecord, load_samples_csv
+from adammcmc.chain import ChainRecord, load_samples_csv, run_chain
 from adammcmc.cli import main
 from adammcmc.config import ConfigError, RunConfig
+from adammcmc.experiments import build_experiment, initial_state, make_step_fn
+from adammcmc.losses import BatchStream
 
 FAST_RUN = dict(
     target="quadratic",
@@ -343,6 +345,53 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_digest(self, tmp_path, name):
         config, digest = self.CONFIGS[name]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        blob = (out / "record.csv").read_bytes() + (out / "samples.csv").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+
+class TestInitialLoss:
+    """initial_state hands its evaluation of theta0 to the chain."""
+
+    MINIBATCH = (
+        dict(target="noisy_quadratic", dim=4, sampler="adammcmc", lam=1.0, gamma=0.01,
+             sigma=0.3, sigma_dir=2.0, beta1=0.9, beta2=0.9, batch_size=32, steps=300,
+             burn_in=100, gap=20, n_samples=10, seed=0),
+        # recorded before initial_state kept its loss; minibatch steps never
+        # read the cached full-batch loss, so the bytes must not move
+        "50daa74d048afafce74aca4ad9240fab35c0a4f437a1a5c2c2eca7ff6c524cb0",
+    )
+
+    @pytest.mark.parametrize("target", ["quadratic", "mlp"])
+    def test_full_batch_chain_evaluates_once_per_step(self, target):
+        overrides = dict(FAST_RUN, target=target, steps=50, burn_in=10, gap=4, n_samples=10)
+        if target == "mlp":
+            overrides.update(sigma=0.01, sigma_dir=20.0, gamma=0.001)
+        experiment = build_experiment(RunConfig(**overrides))
+        oracle = experiment.target.oracle
+        calls = []
+        eval_batch = oracle.eval_batch
+
+        def counting(theta, indices):
+            calls.append(indices)
+            return eval_batch(theta, indices)
+
+        oracle.eval_batch = counting
+        chain_rng, batch_rng, init_rng = map(
+            np.random.default_rng, np.random.SeedSequence(0).spawn(3)
+        )
+        state0 = initial_state(experiment, init_rng, chain_rng)
+        assert len(calls) == 1
+        calls.clear()
+        step_fn = make_step_fn(experiment, BatchStream(oracle.n_points, 0, batch_rng))
+        run_chain(step_fn, state0, experiment.schedule)
+        assert calls == [None] * experiment.schedule.total_steps
+
+    def test_minibatch_outputs_unchanged(self, tmp_path):
+        config, digest = self.MINIBATCH
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "out"

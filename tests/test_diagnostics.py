@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from adammcmc import diagnostics
 from adammcmc.config import RunConfig
 from adammcmc.diagnostics import (
     GridDensity,
@@ -109,6 +110,31 @@ class TestTruncatedGaussianVariance:
 
         expect = 1.0 - 2.0 * norm.pdf(1.0) / (2.0 * norm.cdf(1.0) - 1.0)
         assert truncated_gaussian_variance(1.0, 1.0) == pytest.approx(expect, rel=1e-8)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    def test_closed_form_matches_quadrature(self, lam):
+        # a = R sqrt(lam) spans both branches: the series below a = 1, the
+        # erf form above it
+        from scipy import integrate
+
+        def by_quadrature(half_width):
+            def density(x):
+                return np.exp(-0.5 * lam * x * x)
+
+            z, _ = integrate.quad(density, -half_width, half_width)
+            second, _ = integrate.quad(lambda x: x * x * density(x), -half_width, half_width)
+            return second / z
+
+        for a in np.geomspace(1e-4, 100.0, 1001):
+            half_width = a / np.sqrt(lam)
+            assert truncated_gaussian_variance(lam, half_width) == pytest.approx(
+                by_quadrature(half_width), rel=1e-12, abs=0.0
+            ), a
+
+    @pytest.mark.parametrize("lam", [0.25, 0.5, 1.0, 2.0, 4.0])
+    def test_exact_once_the_tail_underflows(self, lam):
+        for a in (40.0, 50.0, 100.0, 1e3):
+            assert truncated_gaussian_variance(lam, a / np.sqrt(lam)) == 1.0 / lam
 
 
 class TestDetailedBalance:
@@ -228,6 +254,28 @@ class TestScan:
         assert cfg.lam == 3.0
         cfg = apply_scan_value(FAST_SCAN_CONFIG, "sigma_dir", 7.0)
         assert cfg.sigma_dir == 7.0
+
+    def test_pool_capped_at_task_count(self, monkeypatch):
+        opened = []
+
+        class RecordingPool:  # runs the tasks in this process
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(diagnostics, "ProcessPoolExecutor", RecordingPool)
+        rows = scan_acceptance(FAST_SCAN_CONFIG, "sigma", [0.4], n_replicates=1, jobs=8)
+        assert len(rows) == 2 and opened == [2]
+        scan_acceptance(FAST_SCAN_CONFIG, "sigma", [0.3, 0.6], n_replicates=1, jobs=3)
+        assert opened == [2, 3]
 
     def test_parallel_matches_serial(self):
         serial = scan_acceptance(FAST_SCAN_CONFIG, "sigma", [0.4], n_replicates=1, jobs=1)

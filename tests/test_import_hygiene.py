@@ -1,0 +1,50 @@
+"""The sampler's import, run, scan and compare-mh paths load numpy only,
+never scipy."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import adammcmc
+
+PROGRAM = textwrap.dedent(
+    """
+    import json, sys, tempfile
+    from pathlib import Path
+
+    import adammcmc, adammcmc.chain, adammcmc.cli, adammcmc.diagnostics
+    import adammcmc.experiments, adammcmc.verify
+    from adammcmc.config import RunConfig
+
+    tmp = Path(tempfile.mkdtemp())
+    config = {"target": "quadratic", "dim": 2, "sampler": "adammcmc", "sigma": 0.3,
+              "sigma_dir": 10.0, "gamma": 0.01, "steps": 200, "burn_in": 100,
+              "gap": 10, "n_samples": 10, "seed": 0}
+    (tmp / "config.json").write_text(json.dumps(config))
+    code = adammcmc.cli.main(["run", "--config", str(tmp / "config.json"),
+                              "--out", str(tmp / "out")])
+    assert code == 0, code
+    scan_config = RunConfig(target="noisy_quadratic", dim=4, sigma=0.3, sigma_dir=2.0,
+                            gamma=0.01, batch_size=32, steps=200, burn_in=100, gap=10,
+                            n_samples=10, seed=0)
+    rows = adammcmc.diagnostics.scan_acceptance(scan_config, "sigma", [0.3],
+                                                n_replicates=1, jobs=1)
+    assert [row.metric_name for row in rows] == ["variance_error"] * 2
+    adammcmc.diagnostics.compare_full_vs_stochastic_mh(scan_config)
+    print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    """
+)
+
+
+def test_sampler_paths_never_import_scipy(tmp_path):
+    src = str(Path(adammcmc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROGRAM], capture_output=True, text=True, env=env,
+        cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]", proc.stdout
