@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain import save_samples_csv, summarize_ensemble
+from .chain import save_samples_csv
 from .config import ConfigError, RunConfig
 from .diagnostics import (
     SCAN_PARAMS,
@@ -123,8 +123,7 @@ def cmd_run(args) -> int:
         "boundary_rejects": record.n_boundary_rejects,
     }
     if result.experiment.net is not None:
-        summarize_ensemble(summary, result.experiment.net, result.experiment.test_inputs)
-        ensemble["test_accuracy"] = ensemble_test_accuracy(result)
+        ensemble["test_accuracy"] = ensemble_test_accuracy(result)  # also sets summary.spread
         ensemble["median_spread"] = (
             float(np.median(summary.spread)) if summary.spread is not None else None
         )
@@ -152,6 +151,10 @@ def cmd_scan(args) -> int:
         raise ConfigError("grid", "scan grid is empty")
     if args.param not in SCAN_PARAMS:
         raise ConfigError("param", f"must be one of {SCAN_PARAMS}, got {args.param!r}")
+    if args.replicates < 0:
+        raise ConfigError("replicates", f"must be >= 0, got {args.replicates}")
+    if args.jobs < 1:
+        raise ConfigError("jobs", f"must be >= 1, got {args.jobs}")
 
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = scan_acceptance(

@@ -6,6 +6,7 @@ comparison."""
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -44,10 +45,6 @@ class GridDensity:
     edges: tuple[np.ndarray, ...]
     log_mass: np.ndarray
 
-    def __post_init__(self):
-        if len(self.edges) not in (1, 2):
-            raise ValueError("grids support 1 or 2 dimensions only")
-
     @classmethod
     def from_target(cls, target: GibbsTarget, bounds, resolution) -> "GridDensity":
         """Evaluate exp(-lam * L) at cell centers and normalize via
@@ -62,20 +59,9 @@ class GridDensity:
             np.linspace(lo, hi, res + 1) for (lo, hi), res in zip(bounds, resolution)
         )
         centers = [0.5 * (e[:-1] + e[1:]) for e in edges]
-        if dims == 1:
-            logs = np.array(
-                [target.log_unnorm(np.array([c])) for c in centers[0]]
-            )
-        else:
-            logs = np.array(
-                [
-                    [
-                        target.log_unnorm(np.array([cx, cy]))
-                        for cy in centers[1]
-                    ]
-                    for cx in centers[0]
-                ]
-            )
+        logs = np.array(
+            [target.log_unnorm(np.array(point)) for point in itertools.product(*centers)]
+        ).reshape([c.size for c in centers])
         from scipy.special import logsumexp  # kept off the import path of the sampler
 
         log_mass = logs - logsumexp(logs)
@@ -142,18 +128,9 @@ def grid_moments(grid: GridDensity):
     """Mean and per-coordinate variance of a gridded density (cell centers)."""
     masses = grid.masses
     centers = [0.5 * (e[:-1] + e[1:]) for e in grid.edges]
-    if len(centers) == 1:
-        mean = float(np.sum(masses * centers[0]))
-        var = float(np.sum(masses * (centers[0] - mean) ** 2))
-        return np.array([mean]), np.array([var])
-    cx, cy = np.meshgrid(centers[0], centers[1], indexing="ij")
-    mean = np.array([float(np.sum(masses * cx)), float(np.sum(masses * cy))])
-    var = np.array(
-        [
-            float(np.sum(masses * (cx - mean[0]) ** 2)),
-            float(np.sum(masses * (cy - mean[1]) ** 2)),
-        ]
-    )
+    coords = np.meshgrid(*centers, indexing="ij")
+    mean = np.array([float(np.sum(masses * c)) for c in coords])
+    var = np.array([float(np.sum(masses * (c - m) ** 2)) for c, m in zip(coords, mean)])
     return mean, var
 
 
@@ -323,15 +300,13 @@ def _scan_metric(result) -> tuple[float, str]:
 
 
 def _scan_one(args) -> ScanRow:
-    config_json, param, value, seed = args
-    config = RunConfig.from_json(config_json)
-    config = apply_scan_value(config, param, value).replace(seed=seed)
+    config, param, value = args
     result = run_experiment(config)
     metric, metric_name = _scan_metric(result)
     return ScanRow(
         param=param,
         value=float(value),
-        seed=seed,
+        seed=config.seed,
         mean_acceptance=result.record.acceptance_rate,
         metric=metric,
         metric_name=metric_name,
@@ -353,8 +328,12 @@ def scan_acceptance(
     if param not in SCAN_PARAMS:
         raise ValueError(f"unknown scan parameter {param!r}; choose from {SCAN_PARAMS}")
     seeds = [config.seed + r for r in range(1 + n_replicates)]
+    # every config is built and validated here, before any chain runs: a bad
+    # grid value raises ConfigError in this process, never in a pool worker
     tasks = [
-        (config.to_json(), param, value, seed) for value in grid for seed in seeds
+        (apply_scan_value(config, param, value).replace(seed=seed), param, value)
+        for value in grid
+        for seed in seeds
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
@@ -465,9 +444,8 @@ def compare_full_vs_stochastic_mh(config: RunConfig, batch_size: int | None = No
         cmp_seq = np.random.SeedSequence(config.seed + 1).spawn(2)
         state = copy.deepcopy(warm_state)
         state.rng = np.random.default_rng(cmp_seq[0])
-        exp_variant = build_experiment(config.replace(batch_size=bsize))
         batches = BatchStream(n_points, bsize, np.random.default_rng(cmp_seq[1]))
-        step_fn = make_step_fn(exp_variant, batches)
+        step_fn = make_step_fn(experiment, batches)
         results[label] = run_chain(step_fn, state, schedule)
 
     full_record = results["full"][1]

@@ -11,8 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainRecord, ChainSchedule, EnsembleSummary, NumericalAbort, run_chain
-from .config import RunConfig
+from .chain import (
+    ChainRecord,
+    ChainSchedule,
+    EnsembleSummary,
+    NumericalAbort,
+    run_chain,
+    summarize_ensemble,
+)
+from .config import ConfigError, RunConfig
 from .losses import (
     BatchStream,
     GibbsTarget,
@@ -26,6 +33,7 @@ from .samplers import (
     AdamParams,
     ChainState,
     CorrectionParams,
+    Evaluation,
     ProposalParams,
     SghmcParams,
     adam_step,
@@ -86,7 +94,10 @@ def build_experiment(config: RunConfig) -> Experiment:
     else:
         net = MicroMlp()
         if config.dataset:
-            train_x, train_y = load_dataset_csv(config.dataset)
+            try:
+                train_x, train_y = load_dataset_csv(config.dataset)
+            except ValueError as exc:
+                raise ConfigError("dataset", str(exc)) from None
             test_x, test_y = train_x, train_y
         else:
             train_x, train_y, test_x, test_y = two_moons()
@@ -114,10 +125,11 @@ def initial_state(experiment: Experiment, init_rng, chain_rng) -> ChainState:
     state = ChainState.init(theta0, chain_rng)
     # evaluated at the state's own copy, so the first step reuses the loss and,
     # for the classifier, the forward pass the oracle keeps for that array
-    loss0 = experiment.target.oracle.eval(state.theta)
+    target = experiment.target
+    loss0 = target.oracle.eval(state.theta)
     if not np.isfinite(loss0):
         raise NumericalAbort(f"initial loss is not finite: {loss0}")
-    state.cached_loss = loss0
+    state.current = Evaluation(loss0, target.prior.contains(state.theta), None, True)
     return state
 
 
@@ -179,12 +191,13 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
 
 
 def ensemble_test_accuracy(result: ExperimentResult) -> float:
-    """Accuracy of the posterior-mean prediction on the held-out inputs."""
-    from .chain import ensemble_predict
+    """Accuracy of the posterior-mean prediction on the held-out inputs.
 
+    Fills the summary's prediction statistics on those inputs on the way, so
+    one ensemble prediction serves both.
+    """
     exp = result.experiment
     if exp.net is None:
         raise ValueError("test accuracy is only defined for the classifier target")
-    mean_probs, _ = ensemble_predict(result.summary.samples, exp.net, exp.test_inputs)
-    predicted = mean_probs.argmax(axis=1)
-    return float((predicted == exp.test_labels).mean())
+    summary = summarize_ensemble(result.summary, exp.net, exp.test_inputs)
+    return float((summary.mean_probs.argmax(axis=1) == exp.test_labels).mean())

@@ -177,14 +177,28 @@ def save_dataset_csv(path, inputs, labels):
 
 
 def load_dataset_csv(path):
-    """Read rows of (x1, x2, label); inverse of save_dataset_csv."""
+    """Read rows of (x1, x2, label); inverse of save_dataset_csv.
+
+    A bad header, a short or non-numeric row, a label other than 0 or 1, or
+    no rows raise ValueError.
+    """
     xs, ys = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header[:3] != ["x1", "x2", "label"]:
             raise ValueError(f"unexpected dataset header: {header}")
         for row in reader:
-            xs.append([float(row[0]), float(row[1])])
-            ys.append(int(row[2]))
+            try:
+                x1, x2, label = float(row[0]), float(row[1]), int(row[2])
+            except (IndexError, ValueError):
+                label = None
+            if label not in (0, 1):
+                raise ValueError(
+                    f"line {reader.line_num}: expected x1, x2 and a 0/1 label, got {row}"
+                )
+            xs.append([x1, x2])
+            ys.append(label)
+    if not xs:
+        raise ValueError("dataset has no rows")
     return np.array(xs), np.array(ys, dtype=int)

@@ -106,15 +106,28 @@ class Momenta:
         return cls(np.zeros(dim), np.zeros(dim))
 
 
+@dataclass(frozen=True, slots=True)
+class Evaluation:
+    """What a chain knows about one point: its loss, whether it lies in the
+    prior box, its gradient once taken, and whether loss and gradient were
+    taken on the full data (a minibatch evaluation is valid for its batch
+    only)."""
+
+    loss: float
+    inside: bool
+    grad: np.ndarray | None
+    full: bool
+
+
 @dataclass
 class ChainState:
-    """One chain's position, momenta, step counter, caches and RNG."""
+    """One chain's position, momenta, step counter, current-point evaluation
+    and RNG."""
 
     theta: np.ndarray
     momenta: Momenta
     step: int
-    cached_loss: float | None
-    cached_grad: np.ndarray | None
+    current: Evaluation | None
     rng: np.random.Generator
 
     @classmethod
@@ -122,7 +135,7 @@ class ChainState:
         theta0 = np.asarray(theta0, dtype=float)
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
-        return cls(theta0.copy(), Momenta.zeros(theta0.size), 0, None, None, rng)
+        return cls(theta0.copy(), Momenta.zeros(theta0.size), 0, None, rng)
 
 
 @dataclass(frozen=True)
@@ -217,21 +230,29 @@ def _iso_log_density(mean: np.ndarray, sigma: float, x: np.ndarray) -> float:
     return -0.5 * (dim * (LOG_2PI + 2.0 * np.log(sigma)) + float(diff @ diff) / sigma**2)
 
 
-def _loss_grad_at(oracle: LossOracle, theta, batch, state: ChainState):
-    """Loss and gradient at the current position, reusing full-batch caches."""
-    if batch is None:
-        loss = (
-            state.cached_loss
-            if state.cached_loss is not None
-            else oracle.eval_batch(theta, None)
-        )
-        grad = (
-            state.cached_grad
-            if state.cached_grad is not None
-            else oracle.grad_batch(theta, None)
-        )
-        return loss, grad
-    return oracle.eval_batch(theta, batch), oracle.grad_batch(theta, batch)
+def _evaluate(target: GibbsTarget, x: np.ndarray, batch, with_grad: bool) -> Evaluation:
+    """Evaluate a new point on this step's data; the gradient only if asked."""
+    oracle = target.oracle
+    loss = oracle.eval_batch(x, batch)
+    grad = oracle.grad_batch(x, batch) if with_grad else None
+    return Evaluation(loss, target.prior.contains(x), grad, batch is None)
+
+
+def _current(state: ChainState, target: GibbsTarget, batch) -> Evaluation:
+    """The current point's evaluation on this step's data, gradient included.
+
+    Loss and gradient carry over only from a full-data evaluation to a
+    full-data step; prior membership always carries over.
+    """
+    cur, theta, oracle = state.current, state.theta, target.oracle
+    if cur is None:
+        return _evaluate(target, theta, batch, True)
+    if batch is not None or not cur.full:
+        loss = oracle.eval_batch(theta, batch)
+        return Evaluation(loss, cur.inside, oracle.grad_batch(theta, batch), batch is None)
+    if cur.grad is None:
+        return Evaluation(cur.loss, cur.inside, oracle.grad_batch(theta, None), True)
+    return cur
 
 
 def mala_step(
@@ -248,50 +269,34 @@ def mala_step(
     the prior-box indicator.  Loss and gradient are evaluated at both the
     current point and the proposal.
     """
-    oracle = target.oracle
     theta = state.theta
-    loss_theta, grad_theta = _loss_grad_at(oracle, theta, batch, state)
+    cur = _current(state, target, batch)
 
-    mean_fwd = theta - gamma * grad_theta
+    mean_fwd = theta - gamma * cur.grad
     z = state.rng.standard_normal(theta.size)
     tau = mean_fwd + sigma * z
-
-    loss_tau = oracle.eval_batch(tau, batch)
-    grad_tau = oracle.grad_batch(tau, batch)
+    prop = _evaluate(target, tau, batch, True)
 
     log_fwd = _iso_log_density(mean_fwd, sigma, tau)
     with np.errstate(invalid="ignore", over="ignore"):
-        mean_bwd = tau - gamma * grad_tau
+        mean_bwd = tau - gamma * prop.grad
         log_bwd = _iso_log_density(mean_bwd, sigma, theta)
 
-    in_theta = target.prior.contains(theta)
-    in_tau = target.prior.contains(tau)
     log_alpha = _finish_log_alpha(
-        target.lam, loss_theta, loss_tau, in_theta, in_tau, log_fwd, log_bwd, 0.0
+        target.lam, cur.loss, prop.loss, cur.inside, prop.inside, log_fwd, log_bwd, 0.0
     )
     u = state.rng.uniform()
     accepted = np.log(u) <= log_alpha
 
-    if accepted:
-        new_theta, new_loss, new_grad = tau, loss_tau, grad_tau
-    else:
-        new_theta, new_loss, new_grad = theta, loss_theta, grad_theta
-    cache_ok = batch is None
-    new_state = ChainState(
-        new_theta,
-        state.momenta,
-        state.step + 1,
-        new_loss if cache_ok else None,
-        new_grad if cache_ok else None,
-        state.rng,
-    )
+    new_theta, new = (tau, prop) if accepted else (theta, cur)
+    new_state = ChainState(new_theta, state.momenta, state.step + 1, new, state.rng)
     info = StepInfo(
         accepted=bool(accepted),
         alpha=float(np.exp(log_alpha)),
         log_alpha=float(log_alpha),
-        loss=float(new_loss),
-        u_norm=float(np.linalg.norm(gamma * grad_theta)),
-        proposal_in_prior=in_tau,
+        loss=float(new.loss),
+        u_norm=float(np.linalg.norm(gamma * cur.grad)),
+        proposal_in_prior=prop.inside,
     )
     return new_state, info
 
@@ -320,73 +325,56 @@ def adammcmc_step(
     """
     if drift not in ("adam", "gradient"):
         raise ValueError(f"drift must be 'adam' or 'gradient', got {drift!r}")
-    oracle = target.oracle
     theta = state.theta
-    loss_theta, grad_theta = _loss_grad_at(oracle, theta, batch, state)
+    cur = _current(state, target, batch)
 
-    m_next = adam_momentum_update(state.momenta, grad_theta, ap)
+    m_next = adam_momentum_update(state.momenta, cur.grad, ap)
     if drift == "adam":
         u = adam_update_vector(m_next, state.step, ap)
     else:
-        u = ap.gamma * grad_theta
+        u = ap.gamma * cur.grad
 
     cov_fwd = ProlateCovariance(pp.sigma, pp.sigma_dir, u)
     mean_fwd = theta - u
     tau = cov_fwd.sample(mean_fwd, state.rng)
-    loss_tau = oracle.eval_batch(tau, batch)
 
     if drift == "adam":
-        grad_tau = oracle.grad_batch(tau, batch) if cp.mode == "full" else None
-        log_alpha, in_tau = _adam_log_alpha(
-            target, cov_fwd, theta, tau, loss_theta, loss_tau,
-            m_next, grad_theta, grad_tau, ap, cp,
-        )
+        # unit mode never reads the proposal's gradient; an accepted proposal
+        # gets it lazily on the next step
+        prop = _evaluate(target, tau, batch, cp.mode == "full")
+        log_alpha = _adam_log_alpha(target.lam, cov_fwd, theta, tau, cur, prop, m_next, ap, cp)
     else:
         log_fwd = cov_fwd.log_density(mean_fwd, tau)
         with np.errstate(invalid="ignore", over="ignore"):
-            grad_tau = oracle.grad_batch(tau, batch)
-            u_bwd = ap.gamma * grad_tau
+            prop = _evaluate(target, tau, batch, True)
+            u_bwd = ap.gamma * prop.grad
             cov_bwd = ProlateCovariance(pp.sigma, pp.sigma_dir, u_bwd)
             log_bwd = cov_bwd.log_density(tau - u_bwd, theta)
-        in_tau = target.prior.contains(tau)
         log_alpha = _finish_log_alpha(
-            target.lam, loss_theta, loss_tau, target.prior.contains(theta), in_tau,
-            log_fwd, log_bwd, 0.0,
+            target.lam, cur.loss, prop.loss, cur.inside, prop.inside, log_fwd, log_bwd, 0.0
         )
     a = state.rng.uniform()
     accepted = np.log(a) <= log_alpha
 
-    if accepted:
-        new_theta, new_loss = tau, loss_tau
-        new_grad = grad_tau  # may be None: recomputed lazily next step
-    else:
-        new_theta, new_loss, new_grad = theta, loss_theta, grad_theta
-    cache_ok = batch is None
-    new_state = ChainState(
-        new_theta,
-        m_next,
-        state.step + 1,
-        new_loss if cache_ok else None,
-        new_grad if cache_ok else None,
-        state.rng,
-    )
+    new_theta, new = (tau, prop) if accepted else (theta, cur)
+    new_state = ChainState(new_theta, m_next, state.step + 1, new, state.rng)
     info = StepInfo(
         accepted=bool(accepted),
         alpha=float(np.exp(log_alpha)),
         log_alpha=float(log_alpha),
-        loss=float(new_loss),
+        loss=float(new.loss),
         u_norm=float(np.linalg.norm(u)),
-        proposal_in_prior=in_tau,
+        proposal_in_prior=prop.inside,
     )
     return new_state, info
 
 
 def _adam_log_alpha(
-    target: GibbsTarget, cov: ProlateCovariance, theta: np.ndarray, tau: np.ndarray,
-    loss_theta: float, loss_tau: float, m_next: Momenta, grad_theta, grad_tau,
-    ap: AdamParams, cp: CorrectionParams,
-):
-    """(log acceptance, tau in prior) of the drift "adam" move theta -> tau.
+    lam: float, cov: ProlateCovariance, theta: np.ndarray, tau: np.ndarray,
+    cur: Evaluation, prop: Evaluation, m_next: Momenta, ap: AdamParams,
+    cp: CorrectionParams,
+) -> float:
+    """Log acceptance of the drift "adam" move theta -> tau.
 
     The one assembly of this acceptance, run by adammcmc_step on its batch
     evaluations and by adammcmc_log_alpha on full-batch ones.  Both densities
@@ -397,13 +385,10 @@ def _adam_log_alpha(
     log_fwd = cov.log_density(theta - u, tau)
     with np.errstate(invalid="ignore", over="ignore"):
         log_bwd = cov.log_density(tau - u, theta)
-        log_c = log_correction(m_next, grad_theta, grad_tau, cp, ap)
-    in_tau = target.prior.contains(tau)
-    log_alpha = _finish_log_alpha(
-        target.lam, loss_theta, loss_tau, target.prior.contains(theta), in_tau,
-        log_fwd, log_bwd, log_c,
+        log_c = log_correction(m_next, cur.grad, prop.grad, cp, ap)
+    return _finish_log_alpha(
+        lam, cur.loss, prop.loss, cur.inside, prop.inside, log_fwd, log_bwd, log_c
     )
-    return log_alpha, in_tau
 
 
 def adammcmc_log_alpha(
@@ -423,14 +408,12 @@ def adammcmc_log_alpha(
     """
     theta = np.asarray(theta, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    oracle = target.oracle
     cov = ProlateCovariance(pp.sigma, pp.sigma_dir, adam_update_vector(m_next, k, ap))
     full = cp.mode == "full"
     return _adam_log_alpha(
-        target, cov, theta, tau, oracle.eval(theta), oracle.eval(tau), m_next,
-        oracle.grad(theta) if full else None, oracle.grad(tau) if full else None,
-        ap, cp,
-    )[0]
+        target.lam, cov, theta, tau, _evaluate(target, theta, None, full),
+        _evaluate(target, tau, None, full), m_next, ap, cp,
+    )
 
 
 def adam_step(state: ChainState, oracle: LossOracle, ap: AdamParams, batch=None):
@@ -439,23 +422,21 @@ def adam_step(state: ChainState, oracle: LossOracle, ap: AdamParams, batch=None)
     The logged loss is the value at the pre-update position, where the
     gradient was taken (the usual training-curve convention).
     """
-    loss, grad = _loss_grad_at(oracle, state.theta, batch, state)
+    loss, grad = oracle.eval_batch(state.theta, batch), oracle.grad_batch(state.theta, batch)
     m_next = adam_momentum_update(state.momenta, grad, ap)
     u = adam_update_vector(m_next, state.step, ap)
     new_theta = state.theta - u
-    new_state = ChainState(new_theta, m_next, state.step + 1, None, None, state.rng)
+    new_state = ChainState(new_theta, m_next, state.step + 1, None, state.rng)
     info = StepInfo(True, 1.0, 0.0, float(loss), float(np.linalg.norm(u)))
     return new_state, info
 
 
 def sgd_step(state: ChainState, oracle: LossOracle, gamma: float, batch=None):
     """Plain gradient descent: theta - gamma * grad."""
-    loss, grad = _loss_grad_at(oracle, state.theta, batch, state)
+    loss, grad = oracle.eval_batch(state.theta, batch), oracle.grad_batch(state.theta, batch)
     step_vec = gamma * grad
     new_theta = state.theta - step_vec
-    new_state = ChainState(
-        new_theta, state.momenta, state.step + 1, None, None, state.rng
-    )
+    new_state = ChainState(new_theta, state.momenta, state.step + 1, None, state.rng)
     info = StepInfo(True, 1.0, 0.0, float(loss), float(np.linalg.norm(step_vec)))
     return new_state, info
 
@@ -484,19 +465,14 @@ def sghmc_step(state: ChainState, oracle: LossOracle, sp: SghmcParams, batch=Non
     v' = (1 - friction) v - gamma * grad + noise_scale * sqrt(2 friction gamma) * zeta,
     theta' = theta + v'.
     """
-    loss, grad = _loss_grad_at(oracle, state.theta, batch, state)
+    loss, grad = oracle.eval_batch(state.theta, batch), oracle.grad_batch(state.theta, batch)
     v = state.momenta.m1
     zeta = state.rng.standard_normal(v.size)
     noise = sp.noise_scale * np.sqrt(2.0 * sp.friction * sp.gamma) * zeta
     v_next = (1.0 - sp.friction) * v - sp.gamma * grad + noise
     new_theta = state.theta + v_next
     new_state = ChainState(
-        new_theta,
-        Momenta(v_next, state.momenta.m2),
-        state.step + 1,
-        None,
-        None,
-        state.rng,
+        new_theta, Momenta(v_next, state.momenta.m2), state.step + 1, None, state.rng
     )
     info = StepInfo(True, 1.0, 0.0, float(loss), float(np.linalg.norm(v_next)))
     return new_state, info

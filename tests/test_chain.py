@@ -26,7 +26,7 @@ def make_stub_step(thetas=None, accept=True):
             theta = np.asarray(thetas[min(k + 1, len(thetas) - 1)], dtype=float)
         else:
             theta = state.theta
-        new = ChainState(theta, state.momenta, k + 1, None, None, state.rng)
+        new = ChainState(theta, state.momenta, k + 1, None, state.rng)
         info = StepInfo(accept, 1.0, 0.0, float(k), 0.0)
         return new, info
 

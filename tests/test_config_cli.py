@@ -265,6 +265,53 @@ class TestCmdScan:
         )
 
 
+    @pytest.mark.parametrize(
+        "extra, field",
+        [
+            (["--grid", "-1", "--jobs", "2"], "sigma"),
+            (["--grid", "0.5", "--replicates", "-1"], "replicates"),
+            (["--grid", "0.5", "--jobs", "0"], "jobs"),
+        ],
+    )
+    def test_bad_scan_argument_exit_2_without_pool(self, tmp_path, capsys, monkeypatch, extra, field):
+        from adammcmc import diagnostics
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a pool started")
+
+        monkeypatch.setattr(diagnostics, "ProcessPoolExecutor", NoPool)
+        config_path = write_config(tmp_path)
+        out = tmp_path / "s"
+        argv = ["scan", "--config", str(config_path), "--param", "sigma", "--out", str(out)]
+        assert main(argv + extra) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not (out / "scan.csv").exists()
+
+
+class TestDatasetCsv:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,b,c\n0.1,0.2,1\n",  # wrong header
+            "x1,x2,label\n0.1,0.2,1\n0.3,0.4\n",  # short row
+            "x1,x2,label\n0.1,0.2,1\n0.3,abc,0\n",  # non-numeric row
+            "x1,x2,label\n0.1,0.2,1\n0.3,0.4,5\n",  # label past the two classes
+            "x1,x2,label\n0.1,0.2,1\n0.3,0.4,-1\n",  # negative label
+            "x1,x2,label\n",  # no rows
+        ],
+    )
+    def test_malformed_dataset_exit_2(self, tmp_path, capsys, text):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        config_path = write_config(
+            tmp_path, target="mlp", dataset=str(data), steps=20, burn_in=10, gap=1,
+            n_samples=10,
+        )
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+        assert "'dataset'" in capsys.readouterr().err
+
+
 class TestCmdCompareMh:
     def test_outputs(self, tmp_path):
         config_path = write_config(tmp_path)

@@ -2,12 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adammcmc.losses import LossOracle, PriorBox, GibbsTarget, quadratic_target
+from adammcmc.losses import (
+    GibbsTarget,
+    LossOracle,
+    PriorBox,
+    make_batches,
+    noisy_quadratic_target,
+    quadratic_target,
+)
 from adammcmc.samplers import (
     AdamParams,
     ChainState,
     CorrectionParams,
+    Evaluation,
     Momenta,
     ProposalParams,
     SghmcParams,
@@ -495,3 +505,98 @@ class TestParamValidation:
             CorrectionParams(mode="full", rho1=0.0, rho2=0.1)
         cp = CorrectionParams.full_from_s2(1e-4, AdamParams(beta1=0.5, beta2=0.5))
         assert cp.s_sq(1, AdamParams(beta1=0.5, beta2=0.5)) == pytest.approx(1e-4)
+
+
+METROPOLIS_STEPS = ["adam", "adam_full", "gradient", "mala"]
+
+
+def metropolis_step(name: str, sigma: float):
+    """One of the Metropolis steps the chains run, as step(state, target, batch)."""
+    if name == "mala":
+        return lambda s, t, b: mala_step(s, t, 0.05, sigma, batch=b)
+    ap = AdamParams(0.05, 0.9, 0.9)
+    pp = ProposalParams(sigma, 2.0)
+    cp = CorrectionParams.full_from_s2(1e-2, ap) if name == "adam_full" else CorrectionParams()
+    drift = "gradient" if name == "gradient" else "adam"
+    return lambda s, t, b: adammcmc_step(s, t, ap, pp, cp, batch=b, drift=drift)
+
+
+class TestCurrentEvaluation:
+    """The state carries the current point's evaluation from step to step."""
+
+    @pytest.mark.parametrize("name", METROPOLIS_STEPS)
+    def test_one_prior_check_per_full_batch_step(self, name, monkeypatch):
+        step = metropolis_step(name, 0.3)
+        target = noisy_quadratic_target(3)
+        state, _ = step(ChainState.init(np.array([0.3, -0.2, 0.1]), 4), target, None)
+        calls = []
+        contains = PriorBox.contains
+
+        def counting(box, theta):
+            calls.append(theta)
+            return contains(box, theta)
+
+        monkeypatch.setattr(PriorBox, "contains", counting)
+        for _ in range(20):
+            before = len(calls)
+            state, info = step(state, target, None)
+            assert len(calls) == before + 1  # the proposal only
+            if info.accepted:
+                assert calls[-1] is state.theta
+
+    @pytest.mark.parametrize("name", METROPOLIS_STEPS)
+    def test_minibatch_step_evaluates_both_points_on_its_batch(self, name):
+        step = metropolis_step(name, 0.3)
+        target = noisy_quadratic_target(3)
+        oracle = target.oracle
+        calls = []
+        eval_batch = oracle.eval_batch
+
+        def counting(theta, indices):
+            calls.append(indices)
+            return eval_batch(theta, indices)
+
+        oracle.eval_batch = counting
+        state = ChainState.init(np.array([0.3, -0.2, 0.1]), 4)
+        batches = make_batches(oracle.n_points, 32, np.random.default_rng(0))
+        for batch in batches[:10]:
+            calls.clear()
+            state, _ = step(state, target, batch)
+            assert len(calls) == 2 and all(c is batch for c in calls)
+            assert not state.current.full
+
+    @settings(max_examples=60)
+    @given(
+        name=st.sampled_from(METROPOLIS_STEPS),
+        dim=st.integers(1, 3),
+        half_width=st.floats(0.2, 3.0),
+        sigma=st.floats(0.01, 3.0),
+        start_scale=st.floats(0.0, 3.0),
+        batch_size=st.sampled_from([0, 7, 64]),
+        seeded=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_carried_evaluation_matches_a_fresh_one(
+        self, name, dim, half_width, sigma, start_scale, batch_size, seeded, seed
+    ):
+        rng = np.random.default_rng(seed)
+        target = noisy_quadratic_target(dim, half_width=half_width, n_points=64)
+        oracle = target.oracle
+        state = ChainState.init(start_scale * rng.standard_normal(dim), rng)
+        if seeded:  # as initial_state seeds it: full-data loss, no gradient
+            inside = target.prior.contains(state.theta)
+            state.current = Evaluation(oracle.eval(state.theta), inside, None, True)
+        step = metropolis_step(name, sigma)
+        for _ in range(8):
+            batch = None
+            if batch_size and rng.uniform() < 0.7:  # minibatch chains mix in full steps
+                batch = np.sort(rng.choice(oracle.n_points, batch_size, replace=False))
+            state, info = step(state, target, batch)
+            cur = state.current
+            assert not np.isnan(info.log_alpha)
+            assert cur.inside == target.prior.contains(state.theta)
+            assert cur.full == (batch is None)
+            if batch is None:
+                assert cur.loss == oracle.eval(state.theta)
+                if cur.grad is not None:
+                    np.testing.assert_array_equal(cur.grad, oracle.grad(state.theta))
