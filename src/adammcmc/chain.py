@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,12 +115,10 @@ class ChainRecord:
 
 @dataclass
 class EnsembleSummary:
-    """Thinned parameter samples plus optional prediction statistics."""
+    """Thinned parameter samples and the steps they were taken at."""
 
     samples: np.ndarray  # (N, P)
     sample_steps: list[int]
-    mean_probs: np.ndarray | None = None  # (n_inputs, n_classes)
-    spread: np.ndarray | None = None  # (n_inputs,), q75 - q25 of class-1 prob
 
     @property
     def n_samples(self) -> int:
@@ -195,14 +193,6 @@ def ensemble_predict(samples: np.ndarray, net: MicroMlp, inputs: np.ndarray):
     class1 = member_probs[:, :, 1]
     q75, q25 = np.percentile(class1, [75.0, 25.0], axis=0)
     return mean_probs, q75 - q25
-
-
-def summarize_ensemble(summary: EnsembleSummary, net: MicroMlp, inputs: np.ndarray) -> EnsembleSummary:
-    """Fill the prediction fields of a summary in place and return it."""
-    mean_probs, spread = ensemble_predict(summary.samples, net, inputs)
-    summary.mean_probs = mean_probs
-    summary.spread = spread
-    return summary
 
 
 def save_samples_csv(path, samples: np.ndarray) -> None:

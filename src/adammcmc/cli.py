@@ -36,27 +36,36 @@ EXIT_BAD_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def rebase_out_dir(out) -> Path:
-    """The env var, when set, rebases a relative output directory."""
-    out = Path(out)
-    root = os.environ.get(OUT_ROOT_ENV)
-    if root and not out.is_absolute():
-        out = Path(root) / out
-    return out
-
-
-def resolve_out_dir(config: RunConfig, override: str | None) -> Path:
-    """--out beats the config; the env var rebases relative paths."""
-    return rebase_out_dir(override or config.out_dir)
-
-
 def load_config(path: str, seed: int | None, out: str | None) -> RunConfig:
-    config = RunConfig.load(path)
+    try:
+        config = RunConfig.load(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("config", f"cannot read {path}: {exc}") from None
     if seed is not None:
         config = config.replace(seed=seed)
     if out is not None:
         config = config.replace(out_dir=out)
     return config
+
+
+def make_out_dir(out) -> Path:
+    """Create the output directory; the env var, when set, rebases a relative
+    one.  A path that cannot be a directory is a bad --out."""
+    out_dir = Path(out)
+    root = os.environ.get(OUT_ROOT_ENV)
+    if root and not out_dir.is_absolute():
+        out_dir = Path(root) / out_dir
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError("out", f"cannot create the output directory: {exc}") from None
+    return out_dir
+
+
+def write_json(path: Path, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_manifest(out_dir: Path, config: RunConfig, extra: dict | None = None) -> None:
@@ -73,42 +82,35 @@ def write_manifest(out_dir: Path, config: RunConfig, extra: dict | None = None) 
     }
     if extra:
         manifest.update(extra)
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "manifest.json", manifest)
 
 
 def cmd_run(args) -> int:
     config = load_config(args.config, args.seed, args.out)
-    out_dir = resolve_out_dir(config, args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_out_dir(config.out_dir)
 
     result = run_experiment(config)
     record, summary = result.record, result.summary
 
     record.to_csv(out_dir / "record.csv")
     save_samples_csv(out_dir / "samples.csv", summary.samples)
-    with open(out_dir / "samples_meta.json", "w") as fh:
-        json.dump(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "dim": int(summary.samples.shape[1]),
-                "n_samples": int(summary.samples.shape[0]),
-                "sample_steps": summary.sample_steps,
-                "schedule": {
-                    "total_steps": config.steps,
-                    "burn_in": config.burn_in,
-                    "gap": config.gap,
-                    "n_samples": config.n_samples,
-                },
-                "config_hash": config.config_hash(),
-                "seed": config.seed,
+    write_json(
+        out_dir / "samples_meta.json",
+        {
+            "schema_version": SCHEMA_VERSION,
+            "dim": int(summary.samples.shape[1]),
+            "n_samples": int(summary.samples.shape[0]),
+            "sample_steps": summary.sample_steps,
+            "schedule": {
+                "total_steps": config.steps,
+                "burn_in": config.burn_in,
+                "gap": config.gap,
+                "n_samples": config.n_samples,
             },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+            "config_hash": config.config_hash(),
+            "seed": config.seed,
+        },
+    )
 
     ensemble: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -123,13 +125,10 @@ def cmd_run(args) -> int:
         "boundary_rejects": record.n_boundary_rejects,
     }
     if result.experiment.net is not None:
-        ensemble["test_accuracy"] = ensemble_test_accuracy(result)  # also sets summary.spread
-        ensemble["median_spread"] = (
-            float(np.median(summary.spread)) if summary.spread is not None else None
-        )
-    with open(out_dir / "ensemble.json", "w") as fh:
-        json.dump(ensemble, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        accuracy, spread = ensemble_test_accuracy(result)
+        ensemble["test_accuracy"] = accuracy
+        ensemble["median_spread"] = float(np.median(spread)) if spread is not None else None
+    write_json(out_dir / "ensemble.json", ensemble)
 
     write_manifest(out_dir, config)
     print(
@@ -142,7 +141,6 @@ def cmd_run(args) -> int:
 
 def cmd_scan(args) -> int:
     config = load_config(args.config, args.seed, args.out)
-    out_dir = resolve_out_dir(config, args.out)
     try:
         grid = [float(v) for v in args.grid.split(",") if v.strip() != ""]
     except ValueError:
@@ -156,7 +154,7 @@ def cmd_scan(args) -> int:
     if args.jobs < 1:
         raise ConfigError("jobs", f"must be >= 1, got {args.jobs}")
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_out_dir(config.out_dir)
     rows = scan_acceptance(
         config, args.param, grid, n_replicates=args.replicates, jobs=args.jobs
     )
@@ -169,19 +167,15 @@ def cmd_scan(args) -> int:
 
 def cmd_compare_mh(args) -> int:
     config = load_config(args.config, args.seed, args.out)
-    out_dir = resolve_out_dir(config, args.out)
-    batch_size = args.batch_size if args.batch_size else config.batch_size
-    if batch_size <= 0:
-        raise ConfigError("batch_size", "compare-mh needs a positive minibatch size")
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    comparison = compare_full_vs_stochastic_mh(config, batch_size=batch_size)
+    batch_size = args.batch_size or config.batch_size
+    # the directory follows the chains: a batch size the library rejects leaves none
+    comparison = compare_full_vs_stochastic_mh(config, batch_size)
+    out_dir = make_out_dir(config.out_dir)
     comparison.full_record.to_csv(out_dir / "record_full.csv")
     comparison.stochastic_record.to_csv(out_dir / "record_stochastic.csv")
-    with open(out_dir / "comparison.json", "w") as fh:
-        fh.write(comparison.to_json())
-    write_manifest(out_dir, config, {"comparison_batch_size": batch_size})
     summary = comparison.summary_dict()
+    write_json(out_dir / "comparison.json", summary)
+    write_manifest(out_dir, config, {"comparison_batch_size": batch_size})
     print(
         "compare-mh complete: acceptance full "
         f"{summary['full_acceptance']:.3f} vs stochastic "
@@ -193,7 +187,7 @@ def cmd_compare_mh(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_verification
 
-    out_dir = rebase_out_dir(args.out) if args.out else None
+    out_dir = make_out_dir(args.out) if args.out else None
     results = run_verification(quick=args.quick, out_dir=out_dir)
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
@@ -245,9 +239,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except NumericalAbort as exc:

@@ -19,8 +19,10 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
     def __init__(self, field: str, message: str):
-        super().__init__(f"config field '{field}': {message}")
-        self.field = field
+        super().__init__(field, message)  # plain args: unpickles from a scan worker
+
+    def __str__(self) -> str:
+        return f"config field '{self.args[0]}': {self.args[1]}"
 
 
 # Accepted Python types per field annotation; bool is rejected separately,
@@ -168,7 +170,7 @@ class RunConfig:
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return cls.from_json(fh.read())
 
     def save(self, path) -> None:

@@ -7,21 +7,20 @@ from __future__ import annotations
 
 import copy
 import itertools
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSchedule, run_chain
-from .config import RunConfig
+from .chain import ChainRecord, ChainSchedule, run_chain
+from .config import ConfigError, RunConfig
 from .experiments import (
     build_experiment,
     ensemble_test_accuracy,
-    initial_state,
     make_step_fn,
     run_experiment,
+    start_chain,
 )
 from .losses import BatchStream, GibbsTarget
 from .samplers import (
@@ -283,7 +282,7 @@ def apply_scan_value(config: RunConfig, param: str, value: float) -> RunConfig:
 def _scan_metric(result) -> tuple[float, str]:
     cfg = result.experiment.config
     if cfg.target == "mlp":
-        return ensemble_test_accuracy(result), "test_accuracy"
+        return ensemble_test_accuracy(result)[0], "test_accuracy"
     if cfg.target in ("quadratic", "noisy_quadratic"):
         # center shifts leave the per-coordinate truncated variance unchanged
         truth = truncated_gaussian_variance(cfg.lam, cfg.prior_half_width)
@@ -327,6 +326,10 @@ def scan_acceptance(
         raise ValueError("scan grid must be non-empty")
     if param not in SCAN_PARAMS:
         raise ValueError(f"unknown scan parameter {param!r}; choose from {SCAN_PARAMS}")
+    if n_replicates < 0:
+        raise ValueError(f"n_replicates must be >= 0, got {n_replicates}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     seeds = [config.seed + r for r in range(1 + n_replicates)]
     # every config is built and validated here, before any chain runs: a bad
     # grid value raises ConfigError in this process, never in a pool worker
@@ -386,77 +389,49 @@ def scan_rows_to_long_csv(rows: list[ScanRow], path) -> None:
 
 @dataclass
 class MhComparison:
-    full_record: object
-    stochastic_record: object
-    full_acceptance: float
-    stochastic_acceptance: float
-    full_loss_mean: float
-    stochastic_loss_mean: float
-    full_loss_var: float
-    stochastic_loss_var: float
+    """The comparison-phase records of the full and the stochastic chain."""
+
+    full_record: ChainRecord
+    stochastic_record: ChainRecord
 
     def summary_dict(self) -> dict:
-        return {
-            "full_acceptance": self.full_acceptance,
-            "stochastic_acceptance": self.stochastic_acceptance,
-            "full_loss_mean": self.full_loss_mean,
-            "stochastic_loss_mean": self.stochastic_loss_mean,
-            "full_loss_var": self.full_loss_var,
-            "stochastic_loss_var": self.stochastic_loss_var,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.summary_dict(), indent=2, sort_keys=True) + "\n"
+        """Mean acceptance and loss mean/variance of each chain."""
+        stats = {}
+        for label, record in (("full", self.full_record), ("stochastic", self.stochastic_record)):
+            stats[f"{label}_acceptance"] = record.acceptance_rate
+            stats[f"{label}_loss_mean"] = float(record.loss.mean())
+            stats[f"{label}_loss_var"] = float(record.loss.var(ddof=1))
+        return stats
 
 
-def compare_full_vs_stochastic_mh(config: RunConfig, batch_size: int | None = None) -> MhComparison:
+def compare_full_vs_stochastic_mh(config: RunConfig, batch_size: int) -> MhComparison:
     """Run matched chains with the full accept test and the batch-based one.
 
     The stochastic chain burns in first; both variants then start from its
     end state with identical fresh RNG streams, so the comparison happens in
     the same region of parameter space (cold-started pairs drift into
     different basins and the acceptance comparison becomes meaningless).
-    Mean acceptance and the loss mean/variance over the comparison phase are
-    reported for each.
+    A batch_size outside [1, n_points) raises ConfigError before any chain
+    runs: a batch that covers the data would make both chains full-batch.
     """
-    if batch_size is None:
-        batch_size = config.batch_size
-    if batch_size <= 0:
-        raise ValueError("comparison needs a positive minibatch size")
-
-    stoch_cfg = config.replace(batch_size=batch_size)
-    experiment = build_experiment(stoch_cfg)
+    experiment = build_experiment(config)
     n_points = experiment.target.oracle.n_points
-    chain_seq, batch_seq, init_seq = np.random.SeedSequence(config.seed).spawn(3)
-    warm_state = initial_state(
-        experiment, np.random.default_rng(init_seq), np.random.default_rng(chain_seq)
-    )
-    if config.burn_in > 0:
-        warm_batches = BatchStream(n_points, batch_size, np.random.default_rng(batch_seq))
-        warm_fn = make_step_fn(experiment, warm_batches)
-        for _ in range(config.burn_in):
-            warm_state, _ = warm_fn(warm_state)
+    if not 1 <= batch_size < n_points:
+        raise ConfigError(
+            "batch_size", f"compare-mh needs a minibatch in [1, {n_points}), got {batch_size}"
+        )
+    # hand-rolled because run_chain keeps the samples and record, not the end state
+    warm_state, warm_fn = start_chain(experiment, batch_size)
+    for _ in range(config.burn_in):
+        warm_state, _ = warm_fn(warm_state)
 
     compare_steps = config.steps - config.burn_in
     schedule = ChainSchedule(compare_steps, 0, max(1, compare_steps // 2), 1)
-    results = {}
+    records = {}
     for label, bsize in (("full", 0), ("stochastic", batch_size)):
         cmp_seq = np.random.SeedSequence(config.seed + 1).spawn(2)
         state = copy.deepcopy(warm_state)
         state.rng = np.random.default_rng(cmp_seq[0])
         batches = BatchStream(n_points, bsize, np.random.default_rng(cmp_seq[1]))
-        step_fn = make_step_fn(experiment, batches)
-        results[label] = run_chain(step_fn, state, schedule)
-
-    full_record = results["full"][1]
-    stoch_record = results["stochastic"][1]
-    return MhComparison(
-        full_record=full_record,
-        stochastic_record=stoch_record,
-        full_acceptance=full_record.acceptance_rate,
-        stochastic_acceptance=stoch_record.acceptance_rate,
-        full_loss_mean=float(full_record.loss.mean()),
-        stochastic_loss_mean=float(stoch_record.loss.mean()),
-        full_loss_var=float(full_record.loss.var(ddof=1)),
-        stochastic_loss_var=float(stoch_record.loss.var(ddof=1)),
-    )
+        _, records[label] = run_chain(make_step_fn(experiment, batches), state, schedule)
+    return MhComparison(records["full"], records["stochastic"])

@@ -16,8 +16,8 @@ from .chain import (
     ChainSchedule,
     EnsembleSummary,
     NumericalAbort,
+    ensemble_predict,
     run_chain,
-    summarize_ensemble,
 )
 from .config import ConfigError, RunConfig
 from .losses import (
@@ -96,7 +96,7 @@ def build_experiment(config: RunConfig) -> Experiment:
         if config.dataset:
             try:
                 train_x, train_y = load_dataset_csv(config.dataset)
-            except ValueError as exc:
+            except (OSError, ValueError) as exc:
                 raise ConfigError("dataset", str(exc)) from None
             test_x, test_y = train_x, train_y
         else:
@@ -175,29 +175,31 @@ def make_step_fn(experiment: Experiment, batches: BatchStream):
     return step
 
 
+def start_chain(experiment: Experiment, batch_size: int):
+    """A chain's (initial state, step function): the config seed's
+    SeedSequence spawns the proposal, minibatch and initialization streams."""
+    chain_seq, batch_seq, init_seq = np.random.SeedSequence(experiment.config.seed).spawn(3)
+    state0 = initial_state(
+        experiment, np.random.default_rng(init_seq), np.random.default_rng(chain_seq)
+    )
+    n_points = experiment.target.oracle.n_points
+    batches = BatchStream(n_points, batch_size, np.random.default_rng(batch_seq))
+    return state0, make_step_fn(experiment, batches)
+
+
 def run_experiment(config: RunConfig) -> ExperimentResult:
     """Build, initialize and run one chain as described by the config."""
     experiment = build_experiment(config)
-    chain_seq, batch_seq, init_seq = np.random.SeedSequence(config.seed).spawn(3)
-    chain_rng = np.random.default_rng(chain_seq)
-    batch_rng = np.random.default_rng(batch_seq)
-    init_rng = np.random.default_rng(init_seq)
-
-    state0 = initial_state(experiment, init_rng, chain_rng)
-    batches = BatchStream(experiment.target.oracle.n_points, config.batch_size, batch_rng)
-    step_fn = make_step_fn(experiment, batches)
+    state0, step_fn = start_chain(experiment, config.batch_size)
     summary, record = run_chain(step_fn, state0, experiment.schedule)
     return ExperimentResult(experiment, summary, record)
 
 
-def ensemble_test_accuracy(result: ExperimentResult) -> float:
-    """Accuracy of the posterior-mean prediction on the held-out inputs.
-
-    Fills the summary's prediction statistics on those inputs on the way, so
-    one ensemble prediction serves both.
-    """
+def ensemble_test_accuracy(result: ExperimentResult) -> tuple[float, np.ndarray | None]:
+    """Held-out accuracy of the posterior-mean prediction and the per-input
+    spread there (None below two samples), from one ensemble prediction."""
     exp = result.experiment
     if exp.net is None:
         raise ValueError("test accuracy is only defined for the classifier target")
-    summary = summarize_ensemble(result.summary, exp.net, exp.test_inputs)
-    return float((summary.mean_probs.argmax(axis=1) == exp.test_labels).mean())
+    mean_probs, spread = ensemble_predict(result.summary.samples, exp.net, exp.test_inputs)
+    return float((mean_probs.argmax(axis=1) == exp.test_labels).mean()), spread

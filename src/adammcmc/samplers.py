@@ -255,6 +255,22 @@ def _current(state: ChainState, target: GibbsTarget, batch) -> Evaluation:
     return cur
 
 
+def _accept_or_stay(
+    state: ChainState, tau: np.ndarray, cur: Evaluation, prop: Evaluation,
+    momenta: Momenta, log_alpha: float, u: np.ndarray,
+):
+    """The Metropolis test's last draw: one uniform keeps the proposal tau or
+    the current point, each with its evaluation; u is the drift, logged by norm."""
+    accepted = bool(np.log(state.rng.uniform()) <= log_alpha)
+    new_theta, new = (tau, prop) if accepted else (state.theta, cur)
+    new_state = ChainState(new_theta, momenta, state.step + 1, new, state.rng)
+    info = StepInfo(
+        accepted, float(np.exp(log_alpha)), float(log_alpha), float(new.loss),
+        float(np.linalg.norm(u)), prop.inside,
+    )
+    return new_state, info
+
+
 def mala_step(
     state: ChainState,
     target: GibbsTarget,
@@ -272,7 +288,8 @@ def mala_step(
     theta = state.theta
     cur = _current(state, target, batch)
 
-    mean_fwd = theta - gamma * cur.grad
+    u = gamma * cur.grad
+    mean_fwd = theta - u
     z = state.rng.standard_normal(theta.size)
     tau = mean_fwd + sigma * z
     prop = _evaluate(target, tau, batch, True)
@@ -285,20 +302,7 @@ def mala_step(
     log_alpha = _finish_log_alpha(
         target.lam, cur.loss, prop.loss, cur.inside, prop.inside, log_fwd, log_bwd, 0.0
     )
-    u = state.rng.uniform()
-    accepted = np.log(u) <= log_alpha
-
-    new_theta, new = (tau, prop) if accepted else (theta, cur)
-    new_state = ChainState(new_theta, state.momenta, state.step + 1, new, state.rng)
-    info = StepInfo(
-        accepted=bool(accepted),
-        alpha=float(np.exp(log_alpha)),
-        log_alpha=float(log_alpha),
-        loss=float(new.loss),
-        u_norm=float(np.linalg.norm(gamma * cur.grad)),
-        proposal_in_prior=prop.inside,
-    )
-    return new_state, info
+    return _accept_or_stay(state, tau, cur, prop, state.momenta, log_alpha, u)
 
 
 def adammcmc_step(
@@ -353,20 +357,7 @@ def adammcmc_step(
         log_alpha = _finish_log_alpha(
             target.lam, cur.loss, prop.loss, cur.inside, prop.inside, log_fwd, log_bwd, 0.0
         )
-    a = state.rng.uniform()
-    accepted = np.log(a) <= log_alpha
-
-    new_theta, new = (tau, prop) if accepted else (theta, cur)
-    new_state = ChainState(new_theta, m_next, state.step + 1, new, state.rng)
-    info = StepInfo(
-        accepted=bool(accepted),
-        alpha=float(np.exp(log_alpha)),
-        log_alpha=float(log_alpha),
-        loss=float(new.loss),
-        u_norm=float(np.linalg.norm(u)),
-        proposal_in_prior=prop.inside,
-    )
-    return new_state, info
+    return _accept_or_stay(state, tau, cur, prop, m_next, log_alpha, u)
 
 
 def _adam_log_alpha(

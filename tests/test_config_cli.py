@@ -340,6 +340,63 @@ class TestCmdCompareMh:
             == 2
         )
 
+    @pytest.mark.parametrize("batch_size", ["100", "5000"])
+    def test_batch_covering_data_exit_2(self, tmp_path, capsys, batch_size):
+        # the quadratic target has 100 data points: such a "minibatch" would
+        # make the stochastic chain a second full-batch chain
+        config_path = write_config(tmp_path)
+        out = tmp_path / "cmp"
+        argv = ["compare-mh", "--config", str(config_path), "--batch-size", batch_size]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "'batch_size'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestBadPaths:
+    """A path that cannot be read or written exits 2 naming its argument."""
+
+    EXTRA = {
+        "run": [],
+        "scan": ["--param", "sigma", "--grid", "0.01", "--replicates", "1", "--jobs", "2"],
+        "compare-mh": ["--batch-size", "10"],
+    }
+    CASES = [
+        (command, case)
+        for command in ("run", "scan", "compare-mh")
+        for case in ("config_is_dir", "config_not_utf8", "out_is_file", "dataset_is_dir")
+    ] + [("verify", "out_is_file")]
+
+    @pytest.mark.parametrize("command, case", CASES)
+    def test_exit_2_names_argument(self, tmp_path, capsys, monkeypatch, command, case):
+        from adammcmc import verify
+
+        def no_criteria(**kwargs):
+            raise AssertionError("criteria ran before --out was checked")
+
+        monkeypatch.setattr(verify, "run_verification", no_criteria)
+        config_path = write_config(tmp_path)
+        out = tmp_path / "out"
+        field = "config"
+        if case == "config_is_dir":
+            config_path = tmp_path
+        elif case == "config_not_utf8":
+            config_path.write_bytes(b'{"target": "quadr\xe4tic"}')
+        elif case == "out_is_file":
+            out.write_text("not a directory")
+            field = "out"
+        else:
+            config_path = write_config(
+                tmp_path, target="mlp", dataset=str(tmp_path), steps=20, burn_in=10,
+                gap=1, n_samples=10,
+            )
+            field = "dataset"
+        if command == "verify":
+            argv = ["verify", "--quick", "--out", str(out)]
+        else:
+            argv = [command, "--config", str(config_path), "--out", str(out)]
+        assert main(argv + self.EXTRA.get(command, [])) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
 
 class TestConsoleEntryPoint:
     def test_module_invocation(self, tmp_path):
@@ -445,3 +502,29 @@ class TestInitialLoss:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         blob = (out / "record.csv").read_bytes() + (out / "samples.csv").read_bytes()
         assert hashlib.sha256(blob).hexdigest() == digest
+
+
+class TestGoldenRewrittenPaths:
+    """Pinned digests of ensemble.json for TestGoldenOutputs' mlp config, and
+    of compare-mh's comparison.json + record_full.csv + record_stochastic.csv
+    for TestInitialLoss' minibatch config; the platform note of
+    TestGoldenOutputs applies."""
+
+    def run_digest(self, tmp_path, argv, config, names):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(path), "--out", str(out)]) == 0
+        blob = b"".join((out / name).read_bytes() for name in names)
+        return hashlib.sha256(blob).hexdigest()
+
+    def test_ensemble_json(self, tmp_path):
+        config, _ = TestGoldenOutputs.CONFIGS["mlp"]
+        digest = self.run_digest(tmp_path, ["run"], config, ["ensemble.json"])
+        assert digest == "b41d12ccc43f986ea68455f8c79d69d3e2dbd7d3a0d527cef2da84aaa6b3e3d1"
+
+    def test_compare_mh(self, tmp_path):
+        config, _ = TestInitialLoss.MINIBATCH
+        names = ["comparison.json", "record_full.csv", "record_stochastic.csv"]
+        digest = self.run_digest(tmp_path, ["compare-mh"], config, names)
+        assert digest == "95de1b1253ba6f0761ae20ade00693e74ce8e5f0451a950ee135f2e857c8b169"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adammcmc import diagnostics
-from adammcmc.config import RunConfig
+from adammcmc.config import ConfigError, RunConfig
 from adammcmc.diagnostics import (
     GridDensity,
     MhComparison,
@@ -277,6 +277,16 @@ class TestScan:
         scan_acceptance(FAST_SCAN_CONFIG, "sigma", [0.3, 0.6], n_replicates=1, jobs=3)
         assert opened == [2, 3]
 
+    @pytest.mark.parametrize("n_replicates, jobs", [(-1, 2), (1, 0)])
+    def test_bad_replicates_or_jobs_rejected_before_pool(self, monkeypatch, n_replicates, jobs):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a pool started")
+
+        monkeypatch.setattr(diagnostics, "ProcessPoolExecutor", NoPool)
+        with pytest.raises(ValueError):
+            scan_acceptance(FAST_SCAN_CONFIG, "sigma", [0.4], n_replicates=n_replicates, jobs=jobs)
+
     def test_parallel_matches_serial(self):
         serial = scan_acceptance(FAST_SCAN_CONFIG, "sigma", [0.4], n_replicates=1, jobs=1)
         parallel = scan_acceptance(FAST_SCAN_CONFIG, "sigma", [0.4], n_replicates=1, jobs=2)
@@ -296,11 +306,17 @@ class TestMhComparison:
         np.testing.assert_array_equal(full.loss, stoch.loss)
         np.testing.assert_array_equal(full.accepted, stoch.accepted)
         np.testing.assert_array_equal(full.log_alpha, stoch.log_alpha)
-        assert comparison.full_acceptance == comparison.stochastic_acceptance
+        assert full.acceptance_rate == stoch.acceptance_rate
 
     def test_requires_batch_size(self):
         with pytest.raises(ValueError):
             compare_full_vs_stochastic_mh(FAST_SCAN_CONFIG, batch_size=0)
+
+    @pytest.mark.parametrize("batch_size", [100, 5000])
+    def test_batch_covering_data_rejected(self, batch_size):
+        # FAST_SCAN_CONFIG's quadratic target has 100 data points
+        with pytest.raises(ConfigError, match="batch_size"):
+            compare_full_vs_stochastic_mh(FAST_SCAN_CONFIG, batch_size=batch_size)
 
     def test_summary_dict_keys(self):
         cfg = FAST_SCAN_CONFIG.replace(steps=200, burn_in=50, gap=10, n_samples=10)

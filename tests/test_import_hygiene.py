@@ -32,7 +32,7 @@ PROGRAM = textwrap.dedent(
     rows = adammcmc.diagnostics.scan_acceptance(scan_config, "sigma", [0.3],
                                                 n_replicates=1, jobs=1)
     assert [row.metric_name for row in rows] == ["variance_error"] * 2
-    adammcmc.diagnostics.compare_full_vs_stochastic_mh(scan_config)
+    adammcmc.diagnostics.compare_full_vs_stochastic_mh(scan_config, batch_size=32)
     print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
     """
 )
