@@ -48,17 +48,23 @@ def load_config(path: str, seed: int | None, out: str | None) -> RunConfig:
     return config
 
 
-def make_out_dir(out) -> Path:
-    """Create the output directory; the env var, when set, rebases a relative
-    one.  A path that cannot be a directory is a bad --out."""
+def check_out_dir(out) -> Path:
+    """The output directory's path, not yet created; the env var, when set,
+    rebases a relative one.  A path whose nearest existing part (a dangling
+    link counts) is not a directory is a bad --out."""
     out_dir = Path(out)
     root = os.environ.get(OUT_ROOT_ENV)
     if root and not out_dir.is_absolute():
         out_dir = Path(root) / out_dir
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise ConfigError("out", f"cannot create the output directory: {exc}") from None
+    part = next(p for p in (out_dir, *out_dir.parents) if p.is_symlink() or p.exists())
+    if not part.is_dir():
+        raise ConfigError("out", f"cannot create the output directory: {part} is not a directory")
+    return out_dir
+
+
+def make_out_dir(out) -> Path:
+    out_dir = check_out_dir(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir
 
 
@@ -168,7 +174,7 @@ def cmd_scan(args) -> int:
 def cmd_compare_mh(args) -> int:
     config = load_config(args.config, args.seed, args.out)
     batch_size = args.batch_size or config.batch_size
-    # the directory follows the chains: a batch size the library rejects leaves none
+    check_out_dir(config.out_dir)  # created after the chains: a rejected batch leaves none
     comparison = compare_full_vs_stochastic_mh(config, batch_size)
     out_dir = make_out_dir(config.out_dir)
     comparison.full_record.to_csv(out_dir / "record_full.csv")

@@ -11,6 +11,7 @@ loss can take the gradient at the same point without a second forward pass.
 from __future__ import annotations
 
 import csv
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -179,8 +180,8 @@ def save_dataset_csv(path, inputs, labels):
 def load_dataset_csv(path):
     """Read rows of (x1, x2, label); inverse of save_dataset_csv.
 
-    A bad header, a short or non-numeric row, a label other than 0 or 1, or
-    no rows raise ValueError.
+    A bad header, a short, non-numeric or non-finite row, a label other than
+    0 or 1, or no rows raise ValueError.
     """
     xs, ys = [], []
     with open(path, newline="") as fh:
@@ -193,9 +194,9 @@ def load_dataset_csv(path):
                 x1, x2, label = float(row[0]), float(row[1]), int(row[2])
             except (IndexError, ValueError):
                 label = None
-            if label not in (0, 1):
+            if label not in (0, 1) or not (math.isfinite(x1) and math.isfinite(x2)):
                 raise ValueError(
-                    f"line {reader.line_num}: expected x1, x2 and a 0/1 label, got {row}"
+                    f"line {reader.line_num}: expected finite x1, x2 and a 0/1 label, got {row}"
                 )
             xs.append([x1, x2])
             ys.append(label)

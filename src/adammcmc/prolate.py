@@ -17,11 +17,12 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 def _safe_norm(x: np.ndarray) -> float:
-    """Euclidean norm that survives entries near the float64 overflow edge."""
+    """Euclidean norm that survives entries near the float64 overflow and
+    underflow edges, where squaring them would overflow or flush to zero."""
     m = float(np.max(np.abs(x))) if x.size else 0.0
     if m == 0.0 or not np.isfinite(m):
         return m
-    if m > 1e150:
+    if m > 1e150 or m < 1e-150:
         scaled = x / m
         return m * float(np.sqrt(scaled @ scaled))
     return float(np.linalg.norm(x))
@@ -32,7 +33,8 @@ class ProlateCovariance:
     """Implicit covariance sigma^2 I_P + sigma_dir^2 d d^T.
 
     sigma_dir = 0 is a valid mode and reduces every operation to the
-    isotropic case.
+    isotropic case.  The covariance is frozen, so |d|, the log determinant
+    and the rank-one shrink factor are computed once, at construction.
     """
 
     sigma: float
@@ -47,31 +49,36 @@ class ProlateCovariance:
         d = np.asarray(self.direction, dtype=float)
         if d.ndim != 1:
             raise ValueError("direction must be a flat vector")
-        object.__setattr__(self, "direction", d)
+        norm = _safe_norm(d)
+        # log det = 2 P log(sigma) + log(1 + t) with t = (sigma_dir |d| / sigma)^2,
+        # the log(1 + t) term assembled in log space so that a huge |d| cannot
+        # overflow it; shrink = t / (1 + t) is 0 without a stretch and 1 past
+        # the overflow edge of t
+        log_det = 2.0 * d.shape[0] * np.log(self.sigma)
+        shrink = 0.0
+        if self.sigma_dir != 0.0 and norm != 0.0:
+            log_r = 2.0 * (np.log(self.sigma_dir) + np.log(norm) - np.log(self.sigma))
+            log_det = log_det + np.logaddexp(0.0, log_r)
+            r = self.sigma_dir * norm / self.sigma
+            # float ** raises OverflowError past r ~ 1.3e154; from r = 1e150
+            # on, 1/t is below the resolution of 1.0 and shrink is 1 anyway
+            t = r**2 if r < 1e150 else np.inf
+            shrink = 1.0 / (1.0 + 1.0 / t) if t > 0.0 else 0.0
+        # frozen: bypass __setattr__
+        self.__dict__.update(direction=d, _norm=norm, _log_det=float(log_det), _shrink=shrink)
 
     @property
     def dim(self) -> int:
         return self.direction.shape[0]
 
     def log_det(self) -> float:
-        """Log determinant via the rank-one determinant identity.
-
-        2*P*log(sigma) + log(1 + (sigma_dir/sigma)^2 |d|^2), with the log(1+r)
-        term assembled in log space so that huge gradient directions cannot
-        overflow the ratio r.
-        """
-        base = 2.0 * self.dim * np.log(self.sigma)
-        norm_d = _safe_norm(self.direction)
-        if self.sigma_dir == 0.0 or norm_d == 0.0:
-            return float(base)
-        log_r = 2.0 * (np.log(self.sigma_dir) + np.log(norm_d) - np.log(self.sigma))
-        return float(base + np.logaddexp(0.0, log_r))
+        """Log determinant via the rank-one determinant identity."""
+        return self._log_det
 
     def inv_quad_form(self, x: np.ndarray) -> float:
         """x^T Sigma^{-1} x via the rank-one inverse: two dot products.
 
-        Uses |x|^2/sigma^2 - (<d_hat, x>^2/sigma^2) * t/(1+t) with
-        t = (sigma_dir |d| / sigma)^2, which stays finite when t overflows.
+        |x|^2/sigma^2 - (<d_hat, x>^2/sigma^2) * t/(1+t).
         """
         x = np.asarray(x, dtype=float)
         if x.shape != self.direction.shape:
@@ -81,14 +88,10 @@ class ProlateCovariance:
             )
         s2 = self.sigma * self.sigma
         iso = float(x @ x) / s2
-        norm_d = _safe_norm(self.direction)
-        if self.sigma_dir == 0.0 or norm_d == 0.0:
+        if self._shrink == 0.0:
             return iso
-        cos_comp = float(self.direction @ x) / norm_d
-        t = (self.sigma_dir * norm_d / self.sigma) ** 2
-        with np.errstate(divide="ignore", over="ignore"):
-            shrink = 1.0 / (1.0 + 1.0 / t) if t < np.inf else 1.0
-        return iso - (cos_comp * cos_comp / s2) * shrink
+        cos_comp = float(self.direction @ x) / self._norm
+        return iso - (cos_comp * cos_comp / s2) * self._shrink
 
     def log_density(self, mean: np.ndarray, x: np.ndarray) -> float:
         """Gaussian log pdf of x under N(mean, Sigma)."""

@@ -333,49 +333,41 @@ def adammcmc_step(
     cur = _current(state, target, batch)
 
     m_next = adam_momentum_update(state.momenta, cur.grad, ap)
-    if drift == "adam":
-        u = adam_update_vector(m_next, state.step, ap)
-    else:
-        u = ap.gamma * cur.grad
-
+    u = adam_update_vector(m_next, state.step, ap) if drift == "adam" else ap.gamma * cur.grad
     cov_fwd = ProlateCovariance(pp.sigma, pp.sigma_dir, u)
-    mean_fwd = theta - u
-    tau = cov_fwd.sample(mean_fwd, state.rng)
+    tau = cov_fwd.sample(theta - u, state.rng)
 
     if drift == "adam":
         # unit mode never reads the proposal's gradient; an accepted proposal
         # gets it lazily on the next step
-        prop = _evaluate(target, tau, batch, cp.mode == "full")
-        log_alpha = _adam_log_alpha(target.lam, cov_fwd, theta, tau, cur, prop, m_next, ap, cp)
-    else:
-        log_fwd = cov_fwd.log_density(mean_fwd, tau)
+        prop, cov_bwd = _evaluate(target, tau, batch, cp.mode == "full"), cov_fwd
+    else:  # the proposal ignores the momenta, so the correction is unit
         with np.errstate(invalid="ignore", over="ignore"):
             prop = _evaluate(target, tau, batch, True)
-            u_bwd = ap.gamma * prop.grad
-            cov_bwd = ProlateCovariance(pp.sigma, pp.sigma_dir, u_bwd)
-            log_bwd = cov_bwd.log_density(tau - u_bwd, theta)
-        log_alpha = _finish_log_alpha(
-            target.lam, cur.loss, prop.loss, cur.inside, prop.inside, log_fwd, log_bwd, 0.0
-        )
+            cov_bwd = ProlateCovariance(pp.sigma, pp.sigma_dir, ap.gamma * prop.grad)
+        cp = CorrectionParams.unit()
+    log_alpha = _adam_log_alpha(
+        target.lam, cov_fwd, cov_bwd, theta, tau, cur, prop, m_next, ap, cp
+    )
     return _accept_or_stay(state, tau, cur, prop, m_next, log_alpha, u)
 
 
 def _adam_log_alpha(
-    lam: float, cov: ProlateCovariance, theta: np.ndarray, tau: np.ndarray,
-    cur: Evaluation, prop: Evaluation, m_next: Momenta, ap: AdamParams,
-    cp: CorrectionParams,
+    lam: float, cov_fwd: ProlateCovariance, cov_bwd: ProlateCovariance,
+    theta: np.ndarray, tau: np.ndarray, cur: Evaluation, prop: Evaluation,
+    m_next: Momenta, ap: AdamParams, cp: CorrectionParams,
 ) -> float:
-    """Log acceptance of the drift "adam" move theta -> tau.
+    """Log acceptance of the move theta -> tau, for both drifts.
 
     The one assembly of this acceptance, run by adammcmc_step on its batch
-    evaluations and by adammcmc_log_alpha on full-batch ones.  Both densities
-    use cov, whose direction is u: forward around theta - u, backward around
-    tau - u.  The gradients are read only in full correction mode.
+    evaluations and by adammcmc_log_alpha on full-batch ones.  Each
+    covariance's direction is its drift: forward around theta - u_fwd,
+    backward around tau - u_bwd (the adam drift passes one covariance twice).
+    The gradients are read only in full correction mode.
     """
-    u = cov.direction
-    log_fwd = cov.log_density(theta - u, tau)
+    log_fwd = cov_fwd.log_density(theta - cov_fwd.direction, tau)
     with np.errstate(invalid="ignore", over="ignore"):
-        log_bwd = cov.log_density(tau - u, theta)
+        log_bwd = cov_bwd.log_density(tau - cov_bwd.direction, theta)
         log_c = log_correction(m_next, cur.grad, prop.grad, cp, ap)
     return _finish_log_alpha(
         lam, cur.loss, prop.loss, cur.inside, prop.inside, log_fwd, log_bwd, log_c
@@ -402,34 +394,34 @@ def adammcmc_log_alpha(
     cov = ProlateCovariance(pp.sigma, pp.sigma_dir, adam_update_vector(m_next, k, ap))
     full = cp.mode == "full"
     return _adam_log_alpha(
-        target.lam, cov, theta, tau, _evaluate(target, theta, None, full),
+        target.lam, cov, cov, theta, tau, _evaluate(target, theta, None, full),
         _evaluate(target, tau, None, full), m_next, ap, cp,
     )
 
 
-def adam_step(state: ChainState, oracle: LossOracle, ap: AdamParams, batch=None):
-    """Deterministic Adam: theta - u with refreshed momenta.
-
-    The logged loss is the value at the pre-update position, where the
-    gradient was taken (the usual training-curve convention).
-    """
+def _optimizer_step(state: ChainState, oracle: LossOracle, batch, move):
+    """The optimizer baselines' shared step: evaluate at theta, apply
+    move(grad) -> (delta, momenta) as theta + delta, and log the pre-move
+    loss, where the gradient was taken (the usual training-curve convention)."""
     loss, grad = oracle.eval_batch(state.theta, batch), oracle.grad_batch(state.theta, batch)
-    m_next = adam_momentum_update(state.momenta, grad, ap)
-    u = adam_update_vector(m_next, state.step, ap)
-    new_theta = state.theta - u
-    new_state = ChainState(new_theta, m_next, state.step + 1, None, state.rng)
-    info = StepInfo(True, 1.0, 0.0, float(loss), float(np.linalg.norm(u)))
-    return new_state, info
+    delta, momenta = move(grad)
+    new_state = ChainState(state.theta + delta, momenta, state.step + 1, None, state.rng)
+    return new_state, StepInfo(True, 1.0, 0.0, float(loss), float(np.linalg.norm(delta)))
+
+
+def adam_step(state: ChainState, oracle: LossOracle, ap: AdamParams, batch=None):
+    """Deterministic Adam: theta - u with refreshed momenta."""
+
+    def move(grad):
+        m_next = adam_momentum_update(state.momenta, grad, ap)
+        return -adam_update_vector(m_next, state.step, ap), m_next
+
+    return _optimizer_step(state, oracle, batch, move)
 
 
 def sgd_step(state: ChainState, oracle: LossOracle, gamma: float, batch=None):
     """Plain gradient descent: theta - gamma * grad."""
-    loss, grad = oracle.eval_batch(state.theta, batch), oracle.grad_batch(state.theta, batch)
-    step_vec = gamma * grad
-    new_theta = state.theta - step_vec
-    new_state = ChainState(new_theta, state.momenta, state.step + 1, None, state.rng)
-    info = StepInfo(True, 1.0, 0.0, float(loss), float(np.linalg.norm(step_vec)))
-    return new_state, info
+    return _optimizer_step(state, oracle, batch, lambda grad: (-gamma * grad, state.momenta))
 
 
 @dataclass(frozen=True)
@@ -456,14 +448,12 @@ def sghmc_step(state: ChainState, oracle: LossOracle, sp: SghmcParams, batch=Non
     v' = (1 - friction) v - gamma * grad + noise_scale * sqrt(2 friction gamma) * zeta,
     theta' = theta + v'.
     """
-    loss, grad = oracle.eval_batch(state.theta, batch), oracle.grad_batch(state.theta, batch)
-    v = state.momenta.m1
-    zeta = state.rng.standard_normal(v.size)
-    noise = sp.noise_scale * np.sqrt(2.0 * sp.friction * sp.gamma) * zeta
-    v_next = (1.0 - sp.friction) * v - sp.gamma * grad + noise
-    new_theta = state.theta + v_next
-    new_state = ChainState(
-        new_theta, Momenta(v_next, state.momenta.m2), state.step + 1, None, state.rng
-    )
-    info = StepInfo(True, 1.0, 0.0, float(loss), float(np.linalg.norm(v_next)))
-    return new_state, info
+
+    def move(grad):
+        v = state.momenta.m1
+        zeta = state.rng.standard_normal(v.size)
+        noise = sp.noise_scale * np.sqrt(2.0 * sp.friction * sp.gamma) * zeta
+        v_next = (1.0 - sp.friction) * v - sp.gamma * grad + noise
+        return v_next, Momenta(v_next, state.momenta.m2)
+
+    return _optimizer_step(state, oracle, batch, move)

@@ -299,6 +299,9 @@ class TestDatasetCsv:
             "x1,x2,label\n0.1,0.2,1\n0.3,0.4,5\n",  # label past the two classes
             "x1,x2,label\n0.1,0.2,1\n0.3,0.4,-1\n",  # negative label
             "x1,x2,label\n",  # no rows
+            "x1,x2,label\n0.1,0.2,1\nnan,0.4,0\n",  # NaN input
+            "x1,x2,label\n0.1,0.2,1\n0.3,inf,0\n",  # infinite input
+            "x1,x2,label\n0.1,0.2,1\n1e400,0.4,0\n",  # input past the float range
         ],
     )
     def test_malformed_dataset_exit_2(self, tmp_path, capsys, text):
@@ -350,6 +353,22 @@ class TestCmdCompareMh:
         assert main(argv + ["--out", str(out)]) == 2
         assert "'batch_size'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["out_is_file", "out_under_file"])
+    def test_bad_out_exit_2_before_chains(self, tmp_path, capsys, monkeypatch, case):
+        from adammcmc import cli
+
+        def no_chains(*args):
+            raise AssertionError("chains ran before --out was checked")
+
+        monkeypatch.setattr(cli, "compare_full_vs_stochastic_mh", no_chains)
+        config_path = write_config(tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        out = blocker if case == "out_is_file" else blocker / "a" / "b"
+        argv = ["compare-mh", "--config", str(config_path), "--batch-size", "10"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "'out'" in capsys.readouterr().err
 
 
 class TestBadPaths:
@@ -528,3 +547,31 @@ class TestGoldenRewrittenPaths:
         names = ["comparison.json", "record_full.csv", "record_stochastic.csv"]
         digest = self.run_digest(tmp_path, ["compare-mh"], config, names)
         assert digest == "95de1b1253ba6f0761ae20ade00693e74ce8e5f0451a950ee135f2e857c8b169"
+
+
+class TestGoldenStepPaths:
+    """Pinned digests of record.csv + samples.csv for the optimizer baselines
+    and the full momentum correction on TestGoldenOutputs' quadratic config,
+    recorded before those steps shared their code paths; the platform note of
+    TestGoldenOutputs applies."""
+
+    DIGESTS = {
+        "adam": "aa6efbbbb6ca54ffc44f022d677e2c22b98ff455ff32964d10ff269c30167f29",
+        "sgd": "5e3d7fec54b517e01831037a649a8ac22bf179353729653a321834b9cd2dc739",
+        "sghmc": "e38dfc36cbe2147678a48ec6c5572ecae3d735feaf95686d9c4d400ff9a82bfc",
+        "full_correction": "ff3c23269d8676826f0fea95eedb9e3325251a8b01fbcb71d2405ce6dec440ec",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_digest(self, tmp_path, name):
+        config, _ = TestGoldenOutputs.CONFIGS["quadratic"]
+        if name == "full_correction":
+            config = dict(config, correction="full", s_sq=1e-2)
+        else:
+            config = dict(config, sampler=name)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        blob = (out / "record.csv").read_bytes() + (out / "samples.csv").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == self.DIGESTS[name]

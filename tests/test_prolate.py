@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import multivariate_normal
 
@@ -189,3 +191,43 @@ class TestValidation:
     def test_rejects_negative_sigma_dir(self):
         with pytest.raises(ValueError):
             ProlateCovariance(1.0, -0.1, np.ones(2))
+
+
+class TestExtremeStretch:
+    """Stretch ratios sigma_dir |d| / sigma far outside [1e-154, 1e154]."""
+
+    @settings(max_examples=200)
+    @given(
+        sigma=st.floats(0.1, 10.0),
+        log_sigma_dir=st.floats(-200.0, 200.0),
+        log_scale=st.floats(-200.0, 200.0),
+        unit=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4),
+        x=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+    )
+    @example(1.0, 200.0, -200.0, [1.0, 0.0], [1.0, 1.0, 0.0, 0.0])  # |d| underflows
+    @example(1.0, -170.0, -160.0, [1.0, 1.0], [1.0, 1.0, 0.0, 0.0])  # t underflows
+    @example(1.0, 80.0, 80.0, [1.0, 0.0], [1.0, 1.0, 0.0, 0.0])  # t overflows
+    def test_scale_invariance(self, sigma, log_sigma_dir, log_scale, unit, x):
+        # (sigma, sigma_dir, d) and (sigma, 1, sigma_dir * d) are one covariance
+        assume(max(abs(v) for v in unit) > 1e-3)
+        assume(abs(log_sigma_dir + log_scale) <= 250.0)
+        sigma_dir = 10.0**log_sigma_dir
+        d = np.asarray(unit) * 10.0**log_scale
+        x = np.asarray(x[: d.size])
+        a = ProlateCovariance(sigma, sigma_dir, d)
+        b = ProlateCovariance(sigma, 1.0, sigma_dir * d)
+        # the quadratic form subtracts the projection on d from |x|^2/sigma^2,
+        # which cancels for x along d: compare at the scale of the terms
+        iso = float(x @ x) / sigma**2
+        assert a.inv_quad_form(x) == pytest.approx(b.inv_quad_form(x), rel=1e-12, abs=1e-12 * iso)
+        # a log-determinant term below 1e-300 is subnormal and keeps few digits
+        assert a.log_det() == pytest.approx(b.log_det(), rel=1e-12, abs=1e-300)
+
+    def test_past_overflow_edge_is_the_infinite_stretch_limit(self):
+        # t = 1e320 overflows: along d the precision is 0, across it 1/sigma^2
+        cov = ProlateCovariance(1.0, 1.0, np.array([1e160, 0.0]))
+        assert cov.inv_quad_form(np.array([1.0, 1.0])) == 1.0
+        assert cov.inv_quad_form(np.array([5.0, 0.0])) == 0.0
+        assert cov.log_det() == pytest.approx(2.0 * 160.0 * np.log(10.0), rel=1e-14)
+        mean = np.zeros(2)
+        assert np.isfinite(cov.log_density(mean, np.array([3.0, -2.0])))

@@ -1,5 +1,7 @@
 """Sampler steps against hand arithmetic, reference implementations and stubs."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from adammcmc.losses import (
     GibbsTarget,
     LossOracle,
     PriorBox,
+    banana_target,
     make_batches,
     noisy_quadratic_target,
     quadratic_target,
@@ -600,3 +603,58 @@ class TestCurrentEvaluation:
                 assert cur.loss == oracle.eval(state.theta)
                 if cur.grad is not None:
                     np.testing.assert_array_equal(cur.grad, oracle.grad(state.theta))
+
+
+class TestGradientDrift:
+    """drift="gradient" runs the adam drift's acceptance with a backward
+    covariance stretched along gamma * grad(tau)."""
+
+    def test_chain_digest(self):
+        # theta and log_alpha bytes of 200 steps, pinned before the gradient
+        # drift shared the adam drift's acceptance; numpy 2.4.6 on x86-64
+        target = quadratic_target(2, lam=1.0, half_width=10.0)
+        ap = AdamParams(gamma=0.05, beta1=0.9, beta2=0.9)
+        pp = ProposalParams(sigma=0.3, sigma_dir=3.0)
+        state = ChainState.init(np.array([1.5, -1.0]), np.random.default_rng(5))
+        digest = hashlib.sha256()
+        for _ in range(200):
+            state, info = adammcmc_step(state, target, ap, pp, drift="gradient")
+            digest.update(state.theta.tobytes())
+            digest.update(np.float64(info.log_alpha).tobytes())
+        assert digest.hexdigest() == "337299f143eded0d38ffb566128eb15a849cde140a52d052cb67cc4a2bcd4d2c"
+
+    def test_overflowing_stretch_rejects(self):
+        # gamma * grad at (1e60, 1e60) is ~1e181: (sigma_dir |u| / sigma)^2
+        # overflows, and the proposal lands outside the prior box
+        target = banana_target(2)
+        state = ChainState.init(np.array([1e60, 1e60]), np.random.default_rng(0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            new, info = adammcmc_step(
+                state, target, AdamParams(gamma=1.0), ProposalParams(0.5, 1.0),
+                drift="gradient",
+            )
+        assert not info.accepted
+        assert info.log_alpha == -np.inf
+        np.testing.assert_array_equal(new.theta, state.theta)
+
+
+def test_one_norm_per_adam_drift_step(monkeypatch):
+    # the step's one covariance serves the draw and both densities
+    from adammcmc import prolate
+
+    calls = []
+    safe_norm = prolate._safe_norm
+
+    def counting(x):
+        calls.append(x)
+        return safe_norm(x)
+
+    monkeypatch.setattr(prolate, "_safe_norm", counting)
+    target = quadratic_target(3)
+    state = ChainState.init(np.array([0.3, -0.2, 0.1]), 4)
+    for name in ("adam", "adam_full"):
+        step = metropolis_step(name, 0.3)
+        for _ in range(10):
+            before = len(calls)
+            state, _ = step(state, target, None)
+            assert len(calls) == before + 1
