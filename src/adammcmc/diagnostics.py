@@ -5,7 +5,6 @@ comparison."""
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -25,6 +24,7 @@ from .experiments import (
 from .losses import BatchStream, GibbsTarget
 from .samplers import (
     AdamParams,
+    ChainState,
     CorrectionParams,
     Momenta,
     ProposalParams,
@@ -421,17 +421,17 @@ def compare_full_vs_stochastic_mh(config: RunConfig, batch_size: int) -> MhCompa
             "batch_size", f"compare-mh needs a minibatch in [1, {n_points}), got {batch_size}"
         )
     # hand-rolled because run_chain keeps the samples and record, not the end state
-    warm_state, warm_fn = start_chain(experiment, batch_size)
+    warm, warm_fn = start_chain(experiment, batch_size)
     for _ in range(config.burn_in):
-        warm_state, _ = warm_fn(warm_state)
+        warm, _ = warm_fn(warm)
 
     compare_steps = config.steps - config.burn_in
     schedule = ChainSchedule(compare_steps, 0, max(1, compare_steps // 2), 1)
     records = {}
     for label, bsize in (("full", 0), ("stochastic", batch_size)):
         cmp_seq = np.random.SeedSequence(config.seed + 1).spawn(2)
-        state = copy.deepcopy(warm_state)
-        state.rng = np.random.default_rng(cmp_seq[0])
+        rng = np.random.default_rng(cmp_seq[0])
+        state = ChainState(warm.theta, warm.momenta, warm.step, warm.current, rng)
         batches = BatchStream(n_points, bsize, np.random.default_rng(cmp_seq[1]))
         _, records[label] = run_chain(make_step_fn(experiment, batches), state, schedule)
     return MhComparison(records["full"], records["stochastic"])

@@ -123,13 +123,11 @@ def initial_state(experiment: Experiment, init_rng, chain_rng) -> ChainState:
     else:
         theta0 = 0.1 * init_rng.standard_normal(cfg.dim)
     state = ChainState.init(theta0, chain_rng)
-    # evaluated at the state's own copy, so the first step reuses the loss and,
-    # for the classifier, the forward pass the oracle keeps for that array
     target = experiment.target
-    loss0 = target.oracle.eval(state.theta)
+    loss0, grad_fn = target.oracle.evaluate(state.theta, None)
     if not np.isfinite(loss0):
         raise NumericalAbort(f"initial loss is not finite: {loss0}")
-    state.current = Evaluation(loss0, target.prior.contains(state.theta), None, True)
+    state.current = Evaluation(loss0, target.prior.contains(state.theta), True, grad_fn)
     return state
 
 

@@ -9,8 +9,8 @@ the box.
 
 from __future__ import annotations
 
-import weakref
 from abc import ABC, abstractmethod
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +21,10 @@ from .mlp import MicroMlp
 class LossOracle(ABC):
     """Loss value + gradient provider with minibatch estimates.
 
-    `eval`/`grad` are the full-data versions; `eval_batch`/`grad_batch`
-    average over an index subset only.  Passing `indices=None` means the full
+    `evaluate` returns a point's loss and a zero-argument callable for its
+    gradient on the same data; `eval_batch`/`grad_batch` compute either one
+    alone, and `eval`/`grad` are their full-data versions.  A batch averages
+    over an index subset only.  Passing `indices=None` means the full
     dataset: the stored arrays are used as they are, uncopied, and give the
     same bits as the batch path on arange(n_points), so batch_size = n
     reproduces full evaluations bit for bit.
@@ -40,6 +42,10 @@ class LossOracle(ABC):
 
     @abstractmethod
     def grad_batch(self, theta: np.ndarray, indices) -> np.ndarray: ...
+
+    def evaluate(self, theta: np.ndarray, indices) -> tuple[float, Callable[[], np.ndarray]]:
+        """The loss at theta on the batch, and a callable for the gradient there."""
+        return self.eval_batch(theta, indices), lambda: self.grad_batch(theta, indices)
 
     def eval(self, theta: np.ndarray) -> float:
         return self.eval_batch(theta, None)
@@ -133,12 +139,8 @@ class BananaLoss(LossOracle):
 class MlpClassificationLoss(LossOracle):
     """Mean cross entropy of a MicroMlp on a fixed labeled dataset.
 
-    `eval_batch` keeps its forward pass; a `grad_batch` at a bitwise-equal
-    theta with the same indices back-propagates from it instead of sweeping
-    forward again.  A chain evaluates the proposal, then, once accepted, takes
-    the gradient there on the next step, so that gradient costs only the
-    backward half.  The kept pass lives only as long as the theta array it
-    was computed for: a rejected proposal or a finished chain releases it.
+    `evaluate` runs the forward sweep and returns a gradient callable that
+    holds its activations, so the gradient costs only the backward sweep.
     """
 
     def __init__(self, net: MicroMlp, inputs: np.ndarray, labels: np.ndarray):
@@ -152,39 +154,20 @@ class MlpClassificationLoss(LossOracle):
         self.net = net
         self.inputs = inputs
         self.labels = labels
-        # (weakref to theta, theta bytes, indices copy, Activations) of the last eval_batch
-        self._memo = None
 
     def _batch(self, indices):
         return self._rows(self.inputs, indices), self._rows(self.labels, indices)
 
-    def eval_batch(self, theta, indices):
+    def evaluate(self, theta, indices):
         theta = self.check_theta(theta)
         loss, saved = self.net.loss_forward(theta, *self._batch(indices))
-        kept = None if indices is None else np.array(indices)
-        self._memo = (weakref.ref(theta, self._forget), theta.tobytes(), kept, saved)
-        return loss
+        return loss, lambda: self.net.loss_backward(theta, saved)
 
-    def _forget(self, ref):
-        memo = self._memo
-        if memo is not None and memo[0] is ref:
-            self._memo = None
+    def eval_batch(self, theta, indices):
+        return self.net.loss(self.check_theta(theta), *self._batch(indices))
 
     def grad_batch(self, theta, indices):
-        theta = self.check_theta(theta)
-        memo = self._memo  # read once: an interleaved eval_batch can only cause a miss
-        if memo is not None:
-            _, key, kept, saved = memo
-            if key == theta.tobytes() and _same_rows(kept, indices):
-                return self.net.loss_backward(theta, saved)
-        _, g = self.net.loss_and_grad(theta, *self._batch(indices))
-        return g
-
-
-def _same_rows(kept, indices) -> bool:
-    if kept is None or indices is None:
-        return kept is None and indices is None
-    return np.array_equal(kept, indices)
+        return self.net.loss_and_grad(self.check_theta(theta), *self._batch(indices))[1]
 
 
 def make_batches(n: int, batch_size: int, rng: np.random.Generator):

@@ -33,8 +33,9 @@ class ProlateCovariance:
     """Implicit covariance sigma^2 I_P + sigma_dir^2 d d^T.
 
     sigma_dir = 0 is a valid mode and reduces every operation to the
-    isotropic case.  The covariance is frozen, so |d|, the log determinant
-    and the rank-one shrink factor are computed once, at construction.
+    isotropic case.  The covariance is frozen, so |d| (kept as `norm`), the
+    log determinant and the rank-one shrink factor are computed once, at
+    construction.
     """
 
     sigma: float
@@ -65,7 +66,7 @@ class ProlateCovariance:
             t = r**2 if r < 1e150 else np.inf
             shrink = 1.0 / (1.0 + 1.0 / t) if t > 0.0 else 0.0
         # frozen: bypass __setattr__
-        self.__dict__.update(direction=d, _norm=norm, _log_det=float(log_det), _shrink=shrink)
+        self.__dict__.update(direction=d, norm=norm, _log_det=float(log_det), _shrink=shrink)
 
     @property
     def dim(self) -> int:
@@ -90,7 +91,7 @@ class ProlateCovariance:
         iso = float(x @ x) / s2
         if self._shrink == 0.0:
             return iso
-        cos_comp = float(self.direction @ x) / self._norm
+        cos_comp = float(self.direction @ x) / self.norm
         return iso - (cos_comp * cos_comp / s2) * self._shrink
 
     def log_density(self, mean: np.ndarray, x: np.ndarray) -> float:

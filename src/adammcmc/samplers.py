@@ -11,12 +11,13 @@ then one uniform for the accept test.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .losses import GibbsTarget, LossOracle
-from .prolate import LOG_2PI, ProlateCovariance
+from .prolate import LOG_2PI, ProlateCovariance, _safe_norm
 
 
 @dataclass(frozen=True)
@@ -106,17 +107,23 @@ class Momenta:
         return cls(np.zeros(dim), np.zeros(dim))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Evaluation:
     """What a chain knows about one point: its loss, whether it lies in the
-    prior box, its gradient once taken, and whether loss and gradient were
-    taken on the full data (a minibatch evaluation is valid for its batch
-    only)."""
+    prior box, whether it was taken on the full data (a minibatch evaluation
+    is valid for its batch only), and its gradient on the same data, computed
+    by the oracle's callable on the first grad() and kept."""
 
     loss: float
     inside: bool
-    grad: np.ndarray | None
     full: bool
+    grad_fn: Callable[[], np.ndarray]
+    _grad: np.ndarray | None = None
+
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = self.grad_fn()
+        return self._grad
 
 
 @dataclass
@@ -230,43 +237,39 @@ def _iso_log_density(mean: np.ndarray, sigma: float, x: np.ndarray) -> float:
     return -0.5 * (dim * (LOG_2PI + 2.0 * np.log(sigma)) + float(diff @ diff) / sigma**2)
 
 
-def _evaluate(target: GibbsTarget, x: np.ndarray, batch, with_grad: bool) -> Evaluation:
-    """Evaluate a new point on this step's data; the gradient only if asked."""
-    oracle = target.oracle
-    loss = oracle.eval_batch(x, batch)
-    grad = oracle.grad_batch(x, batch) if with_grad else None
-    return Evaluation(loss, target.prior.contains(x), grad, batch is None)
+def _evaluate(target: GibbsTarget, x: np.ndarray, batch) -> Evaluation:
+    """Evaluate a new point on this step's data."""
+    loss, grad_fn = target.oracle.evaluate(x, batch)
+    return Evaluation(loss, target.prior.contains(x), batch is None, grad_fn)
 
 
 def _current(state: ChainState, target: GibbsTarget, batch) -> Evaluation:
-    """The current point's evaluation on this step's data, gradient included.
+    """The current point's evaluation on this step's data.
 
     Loss and gradient carry over only from a full-data evaluation to a
     full-data step; prior membership always carries over.
     """
-    cur, theta, oracle = state.current, state.theta, target.oracle
+    cur, theta = state.current, state.theta
     if cur is None:
-        return _evaluate(target, theta, batch, True)
+        return _evaluate(target, theta, batch)
     if batch is not None or not cur.full:
-        loss = oracle.eval_batch(theta, batch)
-        return Evaluation(loss, cur.inside, oracle.grad_batch(theta, batch), batch is None)
-    if cur.grad is None:
-        return Evaluation(cur.loss, cur.inside, oracle.grad_batch(theta, None), True)
+        loss, grad_fn = target.oracle.evaluate(theta, batch)
+        return Evaluation(loss, cur.inside, batch is None, grad_fn)
     return cur
 
 
 def _accept_or_stay(
     state: ChainState, tau: np.ndarray, cur: Evaluation, prop: Evaluation,
-    momenta: Momenta, log_alpha: float, u: np.ndarray,
+    momenta: Momenta, log_alpha: float, u_norm: float,
 ):
     """The Metropolis test's last draw: one uniform keeps the proposal tau or
-    the current point, each with its evaluation; u is the drift, logged by norm."""
+    the current point, each with its evaluation; u_norm is the drift's norm."""
     accepted = bool(np.log(state.rng.uniform()) <= log_alpha)
     new_theta, new = (tau, prop) if accepted else (state.theta, cur)
     new_state = ChainState(new_theta, momenta, state.step + 1, new, state.rng)
     info = StepInfo(
         accepted, float(np.exp(log_alpha)), float(log_alpha), float(new.loss),
-        float(np.linalg.norm(u)), prop.inside,
+        u_norm, prop.inside,
     )
     return new_state, info
 
@@ -288,21 +291,21 @@ def mala_step(
     theta = state.theta
     cur = _current(state, target, batch)
 
-    u = gamma * cur.grad
+    u = gamma * cur.grad()
     mean_fwd = theta - u
     z = state.rng.standard_normal(theta.size)
     tau = mean_fwd + sigma * z
-    prop = _evaluate(target, tau, batch, True)
+    prop = _evaluate(target, tau, batch)
 
     log_fwd = _iso_log_density(mean_fwd, sigma, tau)
     with np.errstate(invalid="ignore", over="ignore"):
-        mean_bwd = tau - gamma * prop.grad
+        mean_bwd = tau - gamma * prop.grad()
         log_bwd = _iso_log_density(mean_bwd, sigma, theta)
 
     log_alpha = _finish_log_alpha(
         target.lam, cur.loss, prop.loss, cur.inside, prop.inside, log_fwd, log_bwd, 0.0
     )
-    return _accept_or_stay(state, tau, cur, prop, state.momenta, log_alpha, u)
+    return _accept_or_stay(state, tau, cur, prop, state.momenta, log_alpha, _safe_norm(u))
 
 
 def adammcmc_step(
@@ -332,24 +335,22 @@ def adammcmc_step(
     theta = state.theta
     cur = _current(state, target, batch)
 
-    m_next = adam_momentum_update(state.momenta, cur.grad, ap)
-    u = adam_update_vector(m_next, state.step, ap) if drift == "adam" else ap.gamma * cur.grad
+    m_next = adam_momentum_update(state.momenta, cur.grad(), ap)
+    u = adam_update_vector(m_next, state.step, ap) if drift == "adam" else ap.gamma * cur.grad()
     cov_fwd = ProlateCovariance(pp.sigma, pp.sigma_dir, u)
     tau = cov_fwd.sample(theta - u, state.rng)
 
     if drift == "adam":
-        # unit mode never reads the proposal's gradient; an accepted proposal
-        # gets it lazily on the next step
-        prop, cov_bwd = _evaluate(target, tau, batch, cp.mode == "full"), cov_fwd
+        prop, cov_bwd = _evaluate(target, tau, batch), cov_fwd
     else:  # the proposal ignores the momenta, so the correction is unit
         with np.errstate(invalid="ignore", over="ignore"):
-            prop = _evaluate(target, tau, batch, True)
-            cov_bwd = ProlateCovariance(pp.sigma, pp.sigma_dir, ap.gamma * prop.grad)
+            prop = _evaluate(target, tau, batch)
+            cov_bwd = ProlateCovariance(pp.sigma, pp.sigma_dir, ap.gamma * prop.grad())
         cp = CorrectionParams.unit()
     log_alpha = _adam_log_alpha(
         target.lam, cov_fwd, cov_bwd, theta, tau, cur, prop, m_next, ap, cp
     )
-    return _accept_or_stay(state, tau, cur, prop, m_next, log_alpha, u)
+    return _accept_or_stay(state, tau, cur, prop, m_next, log_alpha, cov_fwd.norm)
 
 
 def _adam_log_alpha(
@@ -363,12 +364,14 @@ def _adam_log_alpha(
     evaluations and by adammcmc_log_alpha on full-batch ones.  Each
     covariance's direction is its drift: forward around theta - u_fwd,
     backward around tau - u_bwd (the adam drift passes one covariance twice).
-    The gradients are read only in full correction mode.
+    The gradients are taken only in full correction mode.
     """
     log_fwd = cov_fwd.log_density(theta - cov_fwd.direction, tau)
     with np.errstate(invalid="ignore", over="ignore"):
         log_bwd = cov_bwd.log_density(tau - cov_bwd.direction, theta)
-        log_c = log_correction(m_next, cur.grad, prop.grad, cp, ap)
+        log_c = 0.0
+        if cp.mode == "full":
+            log_c = log_correction(m_next, cur.grad(), prop.grad(), cp, ap)
     return _finish_log_alpha(
         lam, cur.loss, prop.loss, cur.inside, prop.inside, log_fwd, log_bwd, log_c
     )
@@ -392,10 +395,9 @@ def adammcmc_log_alpha(
     theta = np.asarray(theta, dtype=float)
     tau = np.asarray(tau, dtype=float)
     cov = ProlateCovariance(pp.sigma, pp.sigma_dir, adam_update_vector(m_next, k, ap))
-    full = cp.mode == "full"
     return _adam_log_alpha(
-        target.lam, cov, cov, theta, tau, _evaluate(target, theta, None, full),
-        _evaluate(target, tau, None, full), m_next, ap, cp,
+        target.lam, cov, cov, theta, tau, _evaluate(target, theta, None),
+        _evaluate(target, tau, None), m_next, ap, cp,
     )
 
 
@@ -403,10 +405,10 @@ def _optimizer_step(state: ChainState, oracle: LossOracle, batch, move):
     """The optimizer baselines' shared step: evaluate at theta, apply
     move(grad) -> (delta, momenta) as theta + delta, and log the pre-move
     loss, where the gradient was taken (the usual training-curve convention)."""
-    loss, grad = oracle.eval_batch(state.theta, batch), oracle.grad_batch(state.theta, batch)
-    delta, momenta = move(grad)
+    loss, grad_fn = oracle.evaluate(state.theta, batch)
+    delta, momenta = move(grad_fn())
     new_state = ChainState(state.theta + delta, momenta, state.step + 1, None, state.rng)
-    return new_state, StepInfo(True, 1.0, 0.0, float(loss), float(np.linalg.norm(delta)))
+    return new_state, StepInfo(True, 1.0, 0.0, float(loss), _safe_norm(delta))
 
 
 def adam_step(state: ChainState, oracle: LossOracle, ap: AdamParams, batch=None):

@@ -449,6 +449,9 @@ class TestGoldenOutputs:
     matrix products differently.
     """
 
+    MLP = dict(target="mlp", sampler="adammcmc", lam=1.0, gamma=0.001, sigma=0.01,
+               sigma_dir=20.0, beta1=0.99, beta2=0.99, steps=200, burn_in=100,
+               gap=10, n_samples=10, seed=0)
     CONFIGS = {
         # the README quadratic config cut to 300 steps
         "quadratic": (
@@ -458,10 +461,22 @@ class TestGoldenOutputs:
             "1d81076d2ddae2874050e56291256b7cebf84f731485bdb4f5b6345351849ddc",
         ),
         "mlp": (
-            dict(target="mlp", sampler="adammcmc", lam=1.0, gamma=0.001, sigma=0.01,
-                 sigma_dir=20.0, beta1=0.99, beta2=0.99, steps=200, burn_in=100,
-                 gap=10, n_samples=10, seed=0),
+            MLP,
             "fc4cf173f0a14aa1060ea744d82bc56dfe3fa5819764f852421c8f5ef337c53d",
+        ),
+        # the classifier's minibatch, two-gradient (MALA) and optimizer-tail
+        # paths, recorded before the oracle handed out loss and gradient together
+        "mlp_minibatch": (
+            dict(MLP, batch_size=200),
+            "87322603edb657ae210803d7ac17ed3aa7ce35df1aeab8eb3753643fdb11abbf",
+        ),
+        "mlp_mala": (
+            dict(MLP, sampler="mala"),
+            "4f153a08cf0820d4eb8b92059e1ad896516aab810105fceacfb33a7464a92faa",
+        ),
+        "mlp_sgd": (
+            dict(MLP, sampler="sgd"),
+            "6f371984227bb537581f3056b907d3c916f853cd5bed469a5d6bcfe8387d38f8",
         ),
     }
 
@@ -496,13 +511,13 @@ class TestInitialLoss:
         experiment = build_experiment(RunConfig(**overrides))
         oracle = experiment.target.oracle
         calls = []
-        eval_batch = oracle.eval_batch
+        evaluate = oracle.evaluate
 
         def counting(theta, indices):
             calls.append(indices)
-            return eval_batch(theta, indices)
+            return evaluate(theta, indices)
 
-        oracle.eval_batch = counting
+        oracle.evaluate = counting
         chain_rng, batch_rng, init_rng = map(
             np.random.default_rng, np.random.SeedSequence(0).spawn(3)
         )

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adammcmc.config import RunConfig
 from adammcmc.experiments import run_experiment
@@ -23,6 +25,7 @@ from adammcmc.mlp import (
     save_dataset_csv,
     two_moons,
 )
+from adammcmc.samplers import Evaluation
 
 
 def central_diff_grad(fn, theta, rel_step=1e-4, mask_fn=None):
@@ -165,7 +168,7 @@ def sweeps(monkeypatch):
 
 
 class TestMlpForwardMemo:
-    """eval_batch keeps its forward pass for a grad_batch at the same point."""
+    """evaluate keeps its forward pass for the gradient at the same point."""
 
     @staticmethod
     def make_case():
@@ -175,81 +178,87 @@ class TestMlpForwardMemo:
         return net, MlpClassificationLoss(net, x, y), x, y, rng
 
     @staticmethod
-    def fresh_grad(net, x, y, theta, indices):
+    def fresh(net, x, y, theta, indices):
         rows = slice(None) if indices is None else indices
-        return net.loss_and_grad(theta, x[rows], y[rows])[1]
+        return net.loss_and_grad(theta, x[rows], y[rows])
 
     @pytest.mark.parametrize("indices", [None, np.array([1, 4, 9, 10, 33, 50])])
     def test_warm_gradient_is_bitwise_fresh(self, indices, sweeps):
         net, oracle, x, y, rng = self.make_case()
         theta = net.init_params(rng)
-        oracle.eval_batch(theta, indices)
+        loss, grad_fn = oracle.evaluate(theta, indices)
         before = sweeps[0]
-        got = oracle.grad_batch(theta, indices)
+        got = grad_fn()
         assert sweeps[0] == before  # served from the kept forward pass
-        np.testing.assert_array_equal(got, self.fresh_grad(net, x, y, theta, indices))
+        fresh_loss, fresh_grad = self.fresh(net, x, y, theta, indices)
+        assert loss == fresh_loss
+        np.testing.assert_array_equal(got, fresh_grad)
 
-    def test_other_theta_is_recomputed(self):
+    def test_evaluation_runs_backward_once(self, monkeypatch):
         net, oracle, x, y, rng = self.make_case()
-        theta1, theta2 = net.init_params(rng), net.init_params(rng)
-        oracle.eval(theta1)
-        got = oracle.grad(theta2)
-        np.testing.assert_array_equal(got, self.fresh_grad(net, x, y, theta2, None))
-        assert not np.array_equal(got, self.fresh_grad(net, x, y, theta1, None))
+        calls = []
+        backward = MicroMlp.loss_backward
 
-    def test_theta_mutated_in_place_is_recomputed(self):
-        net, oracle, x, y, rng = self.make_case()
+        def counted(self, theta, saved):
+            calls.append(theta)
+            return backward(self, theta, saved)
+
+        monkeypatch.setattr(MicroMlp, "loss_backward", counted)
         theta = net.init_params(rng)
-        before = self.fresh_grad(net, x, y, theta, None)
-        oracle.eval(theta)
-        theta += 0.1 * rng.standard_normal(theta.size)
-        got = oracle.grad(theta)
-        np.testing.assert_array_equal(got, self.fresh_grad(net, x, y, theta, None))
-        assert not np.array_equal(got, before)
-
-    def test_kept_pass_is_released_with_its_theta(self):
-        # a retained oracle must not pin the activations of a dead point
-        net, oracle, x, y, rng = self.make_case()
-        theta = net.init_params(rng)
-        oracle.eval(theta)
-        assert oracle._memo is not None
-        del theta
-        assert oracle._memo is None
-
-    @pytest.mark.parametrize(
-        "first, second",
-        [(np.array([0, 1, 2, 3]), np.array([0, 1, 2, 5])), (np.array([0, 1, 2, 3]), None),
-         (None, np.arange(32))],
-        ids=["other-batch", "batch-then-full", "full-then-batch"],
-    )
-    def test_other_indices_are_recomputed(self, first, second):
-        net, oracle, x, y, rng = self.make_case()
-        theta = net.init_params(rng)
-        oracle.eval_batch(theta, first)
-        got = oracle.grad_batch(theta, second)
-        np.testing.assert_array_equal(got, self.fresh_grad(net, x, y, theta, second))
+        loss, grad_fn = oracle.evaluate(theta, None)
+        evaluation = Evaluation(loss, True, True, grad_fn)
+        assert calls == []
+        first = evaluation.grad()
+        assert evaluation.grad() is first and evaluation.grad() is first
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("batch_size", [0, 32])
     def test_one_sweep_per_evaluation_in_a_chain(self, batch_size, sweeps, monkeypatch):
-        calls = {"eval_batch": 0, "grad_batch": 0}
-        for name in calls:
-            original = getattr(MlpClassificationLoss, name)
+        calls = {"evaluate": 0, "loss_backward": 0}
+        for owner, name in ((MlpClassificationLoss, "evaluate"), (MicroMlp, "loss_backward")):
+            original = getattr(owner, name)
 
-            def counted(self, theta, indices, _original=original, _name=name):
+            def counted(*args, _original=original, _name=name):
                 calls[_name] += 1
-                return _original(self, theta, indices)
+                return _original(*args)
 
-            monkeypatch.setattr(MlpClassificationLoss, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         config = RunConfig(
             target="mlp", sampler="adammcmc", gamma=1e-3, sigma=0.01, sigma_dir=20.0,
             steps=50, burn_in=40, gap=5, n_samples=2, batch_size=batch_size,
         )
         result = run_experiment(config)
         assert result.record.acceptance_rate > 0.5
-        # every gradient the chain takes follows an evaluation at its point,
-        # so only evaluations sweep forward
-        assert calls["grad_batch"] > 0.5 * config.steps
-        assert sweeps[0] == calls["eval_batch"]
+        # every gradient the chain takes back-propagates from an evaluation
+        # at its point, so only evaluations sweep forward
+        assert calls["loss_backward"] > 0.5 * config.steps
+        assert sweeps[0] == calls["evaluate"]
+
+
+BUILTIN_ORACLES = {
+    "quadratic": QuadraticLoss(3, n_points=64),
+    "noisy_quadratic": NoisyQuadraticLoss(3, n_points=64),
+    "banana": BananaLoss(3, n_points=64),
+    "mlp": TestMlpForwardMemo.make_case()[1],
+}
+
+
+@settings(max_examples=60)
+@given(
+    name=st.sampled_from(sorted(BUILTIN_ORACLES)),
+    batch_size=st.sampled_from([0, 1, 7, 64]),
+    seed=st.integers(0, 2**16),
+)
+def test_evaluate_equals_separate_calls(name, batch_size, seed):
+    oracle = BUILTIN_ORACLES[name]
+    rng = np.random.default_rng(seed)
+    theta = rng.standard_normal(oracle.dim)
+    batch = None
+    if batch_size:
+        batch = np.sort(rng.choice(oracle.n_points, batch_size, replace=False))
+    loss, grad_fn = oracle.evaluate(theta, batch)
+    assert loss == oracle.eval_batch(theta, batch)
+    np.testing.assert_array_equal(grad_fn(), oracle.grad_batch(theta, batch))
 
 
 class TestNoisyQuadratic:

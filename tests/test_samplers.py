@@ -167,6 +167,15 @@ class TestOptimizerSteps:
         new, _ = sgd_step(state, target.oracle, gamma=0.1)
         assert new.theta[0] == pytest.approx(0.9, rel=1e-15)
 
+    def test_sgd_logs_huge_step_norm(self):
+        # |delta| = sqrt(2) 1e200: squaring an entry overflows (so does the loss)
+        target = quadratic_target(2)
+        state = ChainState.init(np.array([1e200, -1e200]), 0)
+        with np.errstate(over="ignore"):
+            new, info = sgd_step(state, target.oracle, gamma=1.0)
+        np.testing.assert_array_equal(new.theta, 0.0)
+        assert info.u_norm == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+
     def test_sghmc_runs_and_moves(self):
         target = quadratic_target(4)
         state = ChainState.init(np.ones(4), 7)
@@ -586,9 +595,9 @@ class TestCurrentEvaluation:
         target = noisy_quadratic_target(dim, half_width=half_width, n_points=64)
         oracle = target.oracle
         state = ChainState.init(start_scale * rng.standard_normal(dim), rng)
-        if seeded:  # as initial_state seeds it: full-data loss, no gradient
-            inside = target.prior.contains(state.theta)
-            state.current = Evaluation(oracle.eval(state.theta), inside, None, True)
+        if seeded:  # as initial_state seeds it: full-data loss, gradient on first use
+            loss, grad_fn = oracle.evaluate(state.theta, None)
+            state.current = Evaluation(loss, target.prior.contains(state.theta), True, grad_fn)
         step = metropolis_step(name, sigma)
         for _ in range(8):
             batch = None
@@ -601,8 +610,7 @@ class TestCurrentEvaluation:
             assert cur.full == (batch is None)
             if batch is None:
                 assert cur.loss == oracle.eval(state.theta)
-                if cur.grad is not None:
-                    np.testing.assert_array_equal(cur.grad, oracle.grad(state.theta))
+                np.testing.assert_array_equal(cur.grad(), oracle.grad(state.theta))
 
 
 class TestGradientDrift:
@@ -636,6 +644,9 @@ class TestGradientDrift:
         assert not info.accepted
         assert info.log_alpha == -np.inf
         np.testing.assert_array_equal(new.theta, state.theta)
+        # u = grad ~ (4e181, -2e121): the first entry alone sets the norm
+        u = target.oracle.grad(state.theta)
+        assert info.u_norm == pytest.approx(abs(u[0]), rel=1e-15)
 
 
 def test_one_norm_per_adam_drift_step(monkeypatch):
