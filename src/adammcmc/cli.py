@@ -68,7 +68,7 @@ def make_out_dir(out) -> Path:
     return out_dir
 
 
-def write_json(path: Path, payload: dict) -> None:
+def write_json(path: Path, payload: dict | list) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -151,19 +151,11 @@ def cmd_scan(args) -> int:
         grid = [float(v) for v in args.grid.split(",") if v.strip() != ""]
     except ValueError:
         raise ConfigError("grid", f"could not parse grid {args.grid!r}")
-    if not grid:
-        raise ConfigError("grid", "scan grid is empty")
-    if args.param not in SCAN_PARAMS:
-        raise ConfigError("param", f"must be one of {SCAN_PARAMS}, got {args.param!r}")
-    if args.replicates < 0:
-        raise ConfigError("replicates", f"must be >= 0, got {args.replicates}")
-    if args.jobs < 1:
-        raise ConfigError("jobs", f"must be >= 1, got {args.jobs}")
-
-    out_dir = make_out_dir(config.out_dir)
+    check_out_dir(config.out_dir)  # created after the chains: a rejected argument leaves none
     rows = scan_acceptance(
         config, args.param, grid, n_replicates=args.replicates, jobs=args.jobs
     )
+    out_dir = make_out_dir(config.out_dir)
     scan_rows_to_csv(rows, out_dir / "scan.csv")
     scan_rows_to_long_csv(rows, out_dir / "scan_long.csv")
     write_manifest(out_dir, config, {"scan_param": args.param, "scan_grid": grid})
@@ -193,7 +185,7 @@ def cmd_compare_mh(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_verification
 
-    out_dir = make_out_dir(args.out) if args.out else None
+    out_dir = check_out_dir(args.out) if args.out else None  # created by run_verification
     results = run_verification(quick=args.quick, out_dir=out_dir)
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 

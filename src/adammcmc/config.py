@@ -47,8 +47,9 @@ class RunConfig:
     """Flat experiment configuration.  Every field has a default.
 
     sigma_dir = None resolves to dim/100 at build time (so the directional
-    default scales with the parameter count); rho1/rho2 = None derive from
-    s_sq as rho_l^2 = (1 - beta_l^2) * s_sq.
+    default scales with the parameter count); rho1 and rho2 are set together,
+    and when both are None they derive from s_sq as
+    rho_l^2 = (1 - beta_l^2) * s_sq.
     """
 
     target: str = "quadratic"
@@ -135,6 +136,9 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ConfigError(name, f"must be positive when set, got {value}")
+        if (self.rho1 is None) != (self.rho2 is None):
+            unset, given = ("rho1", "rho2") if self.rho1 is None else ("rho2", "rho1")
+            raise ConfigError(unset, f"must be set together with {given}")
         if not 0.0 <= self.friction <= 1.0:
             raise ConfigError("friction", f"must lie in [0, 1], got {self.friction}")
         if self.noise_scale < 0:

@@ -45,18 +45,13 @@ class GridDensity:
     log_mass: np.ndarray
 
     @classmethod
-    def from_target(cls, target: GibbsTarget, bounds, resolution) -> "GridDensity":
-        """Evaluate exp(-lam * L) at cell centers and normalize via
-        log-sum-exp; bounds is a (lo, hi) pair per dimension."""
-        bounds = [tuple(b) for b in bounds]
-        dims = len(bounds)
-        if dims not in (1, 2):
+    def from_target(cls, target: GibbsTarget, bounds, resolution: int) -> "GridDensity":
+        """Evaluate exp(-lam * L) at the centers of resolution cells per
+        dimension and normalize via log-sum-exp; bounds is a (lo, hi) pair
+        per dimension."""
+        if len(bounds) not in (1, 2):
             raise ValueError("grids support 1 or 2 dimensions only")
-        if np.isscalar(resolution):
-            resolution = [int(resolution)] * dims
-        edges = tuple(
-            np.linspace(lo, hi, res + 1) for (lo, hi), res in zip(bounds, resolution)
-        )
+        edges = tuple(np.linspace(lo, hi, resolution + 1) for lo, hi in bounds)
         centers = [0.5 * (e[:-1] + e[1:]) for e in edges]
         logs = np.array(
             [target.log_unnorm(np.array(point)) for point in itertools.product(*centers)]
@@ -147,6 +142,10 @@ def tv_trace(samples: np.ndarray, target: GridDensity, checkpoints) -> list[tupl
 # ---------------------------------------------------------------------------
 
 
+BALANCE_STEP = 5  # the Adam step count k of the trial update vectors
+BALANCE_POINT_SCALE = 1.5  # standard deviation of the trial points theta, tau
+
+
 def _dense_gaussian_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
     """Dense multivariate normal log pdf via slogdet and solve (oracle path)."""
     diff = x - mean
@@ -188,11 +187,11 @@ def detailed_balance_violations(
     cp: CorrectionParams,
     n_trials: int,
     rng: np.random.Generator,
-    k: int = 5,
-    point_scale: float = 1.5,
     density_cp: CorrectionParams | None = None,
 ) -> np.ndarray:
-    """Relative gap of alpha * q1 * f between both transition directions.
+    """Relative gap of alpha * q1 * f between both transition directions,
+    at trial points drawn with scale BALANCE_POINT_SCALE and update vectors
+    at step BALANCE_STEP.
 
     The acceptance alpha comes from the samplers' O(P) log-acceptance path,
     while q1 and f are evaluated with dense linear algebra, so a bug in the
@@ -210,18 +209,18 @@ def detailed_balance_violations(
     dim = target.dim
     out = np.empty(n_trials)
     for trial in range(n_trials):
-        theta = point_scale * rng.standard_normal(dim)
-        tau = point_scale * rng.standard_normal(dim)
+        theta = BALANCE_POINT_SCALE * rng.standard_normal(dim)
+        tau = BALANCE_POINT_SCALE * rng.standard_normal(dim)
         grad = target.oracle.grad(theta)
         m_tilde = Momenta(
             grad + np.sqrt(cp_density.s_sq(1, ap)) * rng.standard_normal(dim),
             grad**2 + np.sqrt(cp_density.s_sq(2, ap)) * rng.standard_normal(dim),
         )
-        u = adam_update_vector(m_tilde, k, ap)
+        u = adam_update_vector(m_tilde, BALANCE_STEP, ap)
         cov = pp.sigma**2 * np.eye(dim) + pp.sigma_dir**2 * np.outer(u, u)
 
-        log_alpha_fwd = adammcmc_log_alpha(target, theta, tau, m_tilde, k, ap, pp, cp)
-        log_alpha_bwd = adammcmc_log_alpha(target, tau, theta, m_tilde, k, ap, pp, cp)
+        log_alpha_fwd = adammcmc_log_alpha(target, theta, tau, m_tilde, BALANCE_STEP, ap, pp, cp)
+        log_alpha_bwd = adammcmc_log_alpha(target, tau, theta, m_tilde, BALANCE_STEP, ap, pp, cp)
         log_q_fwd = _dense_gaussian_logpdf(tau, theta - u, cov)
         log_q_bwd = _dense_gaussian_logpdf(theta, tau - u, cov)
         log_f_theta = _log_invariant_density(target, theta, m_tilde, ap, cp_density)
@@ -232,21 +231,6 @@ def detailed_balance_violations(
         with np.errstate(over="ignore"):  # gross violations may overflow expm1
             out[trial] = abs(np.expm1(lhs - rhs))
     return out
-
-
-def check_detailed_balance(
-    target: GibbsTarget,
-    ap: AdamParams,
-    pp: ProposalParams,
-    cp: CorrectionParams,
-    n_trials: int,
-    rng: np.random.Generator,
-    k: int = 5,
-) -> float:
-    """Maximum relative detailed-balance violation over random triples."""
-    return float(
-        detailed_balance_violations(target, ap, pp, cp, n_trials, rng, k).max()
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +307,13 @@ def scan_acceptance(
     quality metric.  Seeds are the config seed and n_replicates follow-ups."""
     grid = list(grid)
     if not grid:
-        raise ValueError("scan grid must be non-empty")
+        raise ConfigError("grid", "scan grid is empty")
     if param not in SCAN_PARAMS:
-        raise ValueError(f"unknown scan parameter {param!r}; choose from {SCAN_PARAMS}")
+        raise ConfigError("param", f"must be one of {SCAN_PARAMS}, got {param!r}")
     if n_replicates < 0:
-        raise ValueError(f"n_replicates must be >= 0, got {n_replicates}")
+        raise ConfigError("replicates", f"must be >= 0, got {n_replicates}")
     if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+        raise ConfigError("jobs", f"must be >= 1, got {jobs}")
     seeds = [config.seed + r for r in range(1 + n_replicates)]
     # every config is built and validated here, before any chain runs: a bad
     # grid value raises ConfigError in this process, never in a pool worker

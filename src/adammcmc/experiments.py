@@ -74,7 +74,7 @@ def resolve_sigma_dir(config: RunConfig, dim: int) -> float:
 def correction_params(config: RunConfig, ap: AdamParams) -> CorrectionParams:
     if config.correction == "unit":
         return CorrectionParams.unit()
-    if config.rho1 is not None and config.rho2 is not None:
+    if config.rho1 is not None:  # validate sets rho1 and rho2 together
         return CorrectionParams(mode="full", rho1=config.rho1, rho2=config.rho2)
     return CorrectionParams.full_from_s2(config.s_sq, ap)
 

@@ -8,18 +8,18 @@ skips the long chain-based ones.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import cli
 from .chain import ChainSchedule, ensemble_predict, run_chain
 from .config import RunConfig
 from .diagnostics import (
     GridDensity,
-    check_detailed_balance,
     compare_full_vs_stochastic_mh,
+    detailed_balance_violations,
     truncated_gaussian_variance,
     tv_trace,
 )
@@ -160,9 +160,9 @@ def criterion_detailed_balance():
     ap = AdamParams(gamma=0.05, beta1=0.9, beta2=0.9)
     pp = ProposalParams(sigma=0.4, sigma_dir=2.0)
     cp = CorrectionParams.full_from_s2(1e-2, ap)
-    violation = check_detailed_balance(
+    violation = detailed_balance_violations(
         target, ap, pp, cp, n_trials=200, rng=np.random.default_rng(12)
-    )
+    ).max()
     return violation < 1e-8, (
         f"max relative violation {violation:.2e} over 200 random triples (< 1e-8)"
     )
@@ -230,24 +230,22 @@ def criterion_tv_convergence():
 def criterion_mala_equivalence():
     target = quadratic_target(2, lam=1.0)
     gamma, sigma, steps, seed = 0.02, 0.5, 10_000, 77
-    state_a = ChainState.init(np.array([2.0, -1.0]), seed)
-    state_b = ChainState.init(np.array([2.0, -1.0]), seed)
     ap = AdamParams(gamma=gamma, beta1=0.0, beta2=0.0)
     pp = ProposalParams(sigma=sigma, sigma_dir=0.0)
+    schedule = ChainSchedule(steps, 0, 1, steps)  # keeps the position after every step
 
-    worst_rel = 0.0
-    for _ in range(steps):
-        state_a, info_a = mala_step(state_a, target, gamma, sigma)
-        state_b, info_b = adammcmc_step(state_b, target, ap, pp, drift="gradient")
-        if info_a.accepted != info_b.accepted:
-            return False, "acceptance decisions diverged"
-        if not np.array_equal(state_a.theta, state_b.theta):
-            return False, "trajectories diverged"
-        if np.isfinite(info_a.log_alpha) and info_a.log_alpha != 0.0:
-            worst_rel = max(
-                worst_rel,
-                abs(info_b.log_alpha - info_a.log_alpha) / abs(info_a.log_alpha),
-            )
+    def chain(step_fn):
+        return run_chain(step_fn, ChainState.init(np.array([2.0, -1.0]), seed), schedule)
+
+    summary_a, record_a = chain(lambda s: mala_step(s, target, gamma, sigma))
+    summary_b, record_b = chain(lambda s: adammcmc_step(s, target, ap, pp, drift="gradient"))
+    if not np.array_equal(record_a.accepted, record_b.accepted):
+        return False, "acceptance decisions diverged"
+    if not np.array_equal(summary_a.samples, summary_b.samples):
+        return False, "trajectories diverged"
+    la, lb = record_a.log_alpha, record_b.log_alpha
+    ratio = np.isfinite(la) & (la != 0.0)
+    worst_rel = float(np.max(np.abs(lb[ratio] - la[ratio]) / np.abs(la[ratio]), initial=0.0))
     passed = worst_rel < 1e-12
     return passed, (
         f"1e4 steps: decisions and states bit-identical, worst acceptance-ratio "
@@ -429,8 +427,6 @@ def criterion_determinism():
     import tempfile
     from pathlib import Path
 
-    from .cli import main as cli_main
-
     configs = [
         RunConfig(
             target="quadratic", dim=2, sampler="adammcmc", sigma=0.5, sigma_dir=1.0,
@@ -451,9 +447,7 @@ def criterion_determinism():
             blobs = []
             for rep in ("a", "b"):
                 out = tmp / f"{idx}{rep}"
-                code = cli_main(
-                    ["run", "--config", str(cfg_path), "--out", str(out)]
-                )
+                code = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
                 if code != 0:
                     return False, f"run exited with {code}"
                 blobs.append(
@@ -499,19 +493,12 @@ def run_verification(quick: bool = False, out_dir=None):
     print(f"{n_pass}/{len(results)} criteria passed")
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "verify_report.json", "w") as fh:
-            json.dump(
-                [
-                    {
-                        "name": r.name,
-                        "passed": r.passed,
-                        "detail": r.detail,
-                        "seconds": round(r.seconds, 2),
-                    }
-                    for r in results
-                ],
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
+        cli.write_json(
+            out_dir / "verify_report.json",
+            [
+                {"name": r.name, "passed": r.passed, "detail": r.detail,
+                 "seconds": round(r.seconds, 2)}
+                for r in results
+            ],
+        )
     return results

@@ -9,6 +9,8 @@ Criterion 8 documents a known desk-scale limitation: see the assertion
 message and the project notes for the analysis.
 """
 
+import dataclasses
+
 import pytest
 
 from adammcmc import verify
@@ -61,3 +63,45 @@ class TestAcceptance:
 
     def test_10_determinism(self):
         run_criterion("determinism", verify.criterion_determinism)
+
+
+class TestMalaEquivalenceDetectsDivergence:
+    """Criterion 6 fails on a MALA step that is off by one part in 1e9."""
+
+    @staticmethod
+    def run_with_mala(monkeypatch, mutated):
+        monkeypatch.setattr(verify, "mala_step", mutated)
+        return verify.criterion_mala_equivalence()
+
+    def test_scaled_log_alpha(self, monkeypatch):
+        original = verify.mala_step
+
+        def mutated(state, target, gamma, sigma):
+            state, info = original(state, target, gamma, sigma)
+            return state, dataclasses.replace(info, log_alpha=info.log_alpha * (1 + 1e-9))
+
+        passed, detail = self.run_with_mala(monkeypatch, mutated)
+        assert not passed
+        assert "rel diff 1.00e-09" in detail
+
+    def test_scaled_sigma(self, monkeypatch):
+        original = verify.mala_step
+
+        def mutated(state, target, gamma, sigma):
+            return original(state, target, gamma, sigma * (1 + 1e-9))
+
+        assert self.run_with_mala(monkeypatch, mutated) == (False, "trajectories diverged")
+
+    def test_one_flipped_decision(self, monkeypatch):
+        original = verify.mala_step
+        calls = []
+
+        def mutated(state, target, gamma, sigma):
+            state, info = original(state, target, gamma, sigma)
+            calls.append(None)
+            if len(calls) == 5_000:
+                info = dataclasses.replace(info, accepted=not info.accepted)
+            return state, info
+
+        passed, detail = self.run_with_mala(monkeypatch, mutated)
+        assert (passed, detail) == (False, "acceptance decisions diverged")

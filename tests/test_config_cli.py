@@ -8,10 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adammcmc.chain import ChainRecord, load_samples_csv, run_chain
 from adammcmc.cli import main
-from adammcmc.config import ConfigError, RunConfig
+from adammcmc.config import CORRECTIONS, SAMPLERS, TARGETS, ConfigError, RunConfig
 from adammcmc.experiments import build_experiment, initial_state, make_step_fn
 from adammcmc.losses import BatchStream
 
@@ -37,6 +39,47 @@ def write_config(tmp_path, **overrides) -> Path:
     path = tmp_path / "config.json"
     path.write_text(RunConfig(**merged).to_json())
     return path
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) | st.integers(1, 10**6)
+NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False) | st.integers(0, 10**6)
+UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+
+
+@st.composite
+def valid_configs(draw):
+    """Any config that validate accepts, with ints mixed into float fields."""
+    burn_in = draw(st.integers(0, 10**4))
+    gap = draw(st.integers(1, 10**3))
+    n_samples = draw(st.integers(1, 100))
+    rho1, rho2 = draw(st.none() | st.tuples(POSITIVE, POSITIVE)) or (None, None)
+    return RunConfig(
+        target=draw(st.sampled_from(TARGETS)),
+        dim=draw(st.integers(2, 10**4)),
+        dataset=draw(st.text()),
+        sampler=draw(st.sampled_from(SAMPLERS)),
+        lam=draw(POSITIVE),
+        gamma=draw(POSITIVE),
+        sigma=draw(POSITIVE),
+        sigma_dir=draw(st.none() | NON_NEGATIVE),
+        beta1=draw(UNIT),
+        beta2=draw(UNIT),
+        delta=draw(POSITIVE),
+        prior_half_width=draw(POSITIVE),
+        steps=burn_in + n_samples * gap + draw(st.integers(0, 10**3)),
+        burn_in=burn_in,
+        gap=gap,
+        n_samples=n_samples,
+        batch_size=draw(st.integers(0, 10**4)),
+        correction=draw(st.sampled_from(CORRECTIONS)),
+        s_sq=draw(POSITIVE),
+        rho1=rho1,
+        rho2=rho2,
+        friction=draw(st.floats(0.0, 1.0)),
+        noise_scale=draw(NON_NEGATIVE),
+        seed=draw(st.integers(0, 2**64)),
+        out_dir=draw(st.text()),
+    ).validate()
 
 
 class TestRunConfig:
@@ -71,6 +114,18 @@ class TestRunConfig:
         assert a.config_hash() == b.config_hash()
         c = a.replace(sigma=0.6)
         assert c.config_hash() != a.config_hash()
+
+    @settings(max_examples=200)
+    @given(cfg=valid_configs())
+    def test_json_roundtrip_property(self, cfg):
+        again = RunConfig.from_json(cfg.to_json())
+        assert again == cfg
+        assert again.config_hash() == cfg.config_hash()
+
+    @pytest.mark.parametrize("given_field, unset", [("rho1", "rho2"), ("rho2", "rho1")])
+    def test_half_set_rho_names_unset_field(self, given_field, unset):
+        with pytest.raises(ConfigError, match=f"'{unset}'"):
+            RunConfig(correction="full", **{given_field: 0.05}).validate()
 
     def test_sigma_dir_nullable(self):
         cfg = RunConfig(**{**FAST_RUN, "sigma_dir": None})
@@ -128,6 +183,15 @@ class TestCmdRun:
         assert "diverged at step" in capsys.readouterr().err
         assert not (out / "record.csv").exists()
         assert not (out / "samples.csv").exists()
+
+    def test_half_set_rho_exit_2(self, tmp_path, capsys):
+        # with rho2 unset the run used to fall back to s_sq for both levels
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps({**FAST_RUN, "correction": "full", "rho1": 0.05}))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "config field 'rho2'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_key_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -286,7 +350,7 @@ class TestCmdScan:
         argv = ["scan", "--config", str(config_path), "--param", "sigma", "--out", str(out)]
         assert main(argv + extra) == 2
         assert f"'{field}'" in capsys.readouterr().err
-        assert not (out / "scan.csv").exists()
+        assert not out.exists()
 
 
 class TestDatasetCsv:

@@ -9,7 +9,6 @@ from adammcmc.diagnostics import (
     GridDensity,
     MhComparison,
     apply_scan_value,
-    check_detailed_balance,
     compare_full_vs_stochastic_mh,
     detailed_balance_violations,
     scan_acceptance,
@@ -156,7 +155,7 @@ class TestDetailedBalance:
         pp = ProposalParams(sigma=0.4, sigma_dir=2.0)
         cp = CorrectionParams.full_from_s2(1e-2, ap)
         rng = np.random.default_rng(12)
-        max_violation = check_detailed_balance(target, ap, pp, cp, 200, rng)
+        max_violation = detailed_balance_violations(target, ap, pp, cp, 200, rng).max()
         assert max_violation < 1e-8
 
     def test_unit_correction_violates_more(self):
@@ -201,9 +200,9 @@ class TestDetailedBalance:
 
         prolate_mod.ProlateCovariance.inv_quad_form = buggy
         try:
-            bad = check_detailed_balance(
+            bad = detailed_balance_violations(
                 target, ap, pp, cp, 50, np.random.default_rng(8)
-            )
+            ).max()
         finally:
             prolate_mod.ProlateCovariance.inv_quad_form = original
         assert bad > 1e-4
@@ -240,11 +239,11 @@ class TestScan:
         assert {row.seed for row in rows} == {5, 6, 7}
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="config field 'grid'"):
             scan_acceptance(FAST_SCAN_CONFIG, "sigma", [])
 
     def test_unknown_param_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="config field 'param'"):
             scan_acceptance(FAST_SCAN_CONFIG, "delta", [1.0])
 
     def test_apply_scan_value_mapping(self):
@@ -284,7 +283,8 @@ class TestScan:
                 raise AssertionError("a pool started")
 
         monkeypatch.setattr(diagnostics, "ProcessPoolExecutor", NoPool)
-        with pytest.raises(ValueError):
+        field = "replicates" if n_replicates < 0 else "jobs"
+        with pytest.raises(ConfigError, match=f"config field '{field}'"):
             scan_acceptance(FAST_SCAN_CONFIG, "sigma", [0.4], n_replicates=n_replicates, jobs=jobs)
 
     def test_parallel_matches_serial(self):

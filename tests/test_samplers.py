@@ -24,6 +24,7 @@ from adammcmc.samplers import (
     Momenta,
     ProposalParams,
     SghmcParams,
+    _finish_log_alpha,
     adam_momentum_update,
     adam_step,
     adam_update_vector,
@@ -493,6 +494,29 @@ class TestLogAlphaHook:
             hook = adammcmc_log_alpha(target, theta0, tau, m_next, 0, ap, pp, cp)
             assert np.isfinite(hook) and hook < 0.0
             assert info.log_alpha == hook
+
+
+class TestFinishLogAlpha:
+    @settings(max_examples=300)
+    @given(
+        lam=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        loss_cur=st.floats(),
+        loss_prop=st.floats(),
+        in_cur=st.booleans(),
+        in_prop=st.booleans(),
+        log_fwd=st.floats(),
+        log_bwd=st.floats(),
+        log_c=st.floats(),
+    )
+    def test_never_nan_never_above_zero(
+        self, lam, loss_cur, loss_prop, in_cur, in_prop, log_fwd, log_bwd, log_c
+    ):
+        with np.errstate(all="ignore"):
+            log_alpha = _finish_log_alpha(
+                lam, loss_cur, loss_prop, in_cur, in_prop, log_fwd, log_bwd, log_c
+            )
+        assert not np.isnan(log_alpha)
+        assert log_alpha <= 0.0
 
 
 class TestParamValidation:
