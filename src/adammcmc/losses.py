@@ -150,6 +150,9 @@ class MlpClassificationLoss(LossOracle):
         labels = np.asarray(labels, dtype=int)
         if inputs.shape[0] != labels.shape[0]:
             raise ValueError("inputs and labels disagree on the number of points")
+        n_classes = net.layer_sizes[-1]
+        if labels.size and not (labels.min() >= 0 and labels.max() < n_classes):
+            raise ValueError(f"labels must lie in [0, {n_classes})")
         super().__init__(net.n_params, inputs.shape[0])
         self.net = net
         self.inputs = inputs

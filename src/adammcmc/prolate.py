@@ -9,6 +9,7 @@ the P x P matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,12 +88,35 @@ class ProlateCovariance:
                 f"dimension mismatch: x has shape {x.shape}, "
                 f"direction has shape {self.direction.shape}"
             )
+        xx = float(x @ x)
+        dx = float(self.direction @ x) if self._shrink else 0.0
+        if not (math.isfinite(xx) and math.isfinite(dx)):
+            m = float(np.max(np.abs(x)))
+            if 0.0 < m < math.inf:
+                return self._rescaled_form(x / m, m)
         s2 = self.sigma * self.sigma
-        iso = float(x @ x) / s2
+        iso = xx / s2
         if self._shrink == 0.0:
             return iso
-        cos_comp = float(self.direction @ x) / self.norm
+        cos_comp = dx / self.norm
         return iso - (cos_comp * cos_comp / s2) * self._shrink
+
+    def _rescaled_form(self, xs: np.ndarray, m: float) -> float:
+        """The form of x = m * xs (max |xs| = 1) when x's squares overflow.
+
+        |x_perp|^2 / sigma^2 + <d_hat, x>^2 / (sigma^2 + sigma_dir^2 |d|^2),
+        each term scaled by m on its own: inv_quad_form's difference of two
+        squares overflows here, and along a huge d it would also cancel away
+        the offset across d.
+        """
+        along = 0.0
+        if self._shrink:
+            d_hat = self.direction / self.norm
+            along = float(d_hat @ xs)
+            xs = xs - along * d_hat
+            along *= m / math.hypot(self.sigma, self.sigma_dir * self.norm)
+        perp = m * (_safe_norm(xs) / self.sigma)
+        return perp * perp + along * along
 
     def log_density(self, mean: np.ndarray, x: np.ndarray) -> float:
         """Gaussian log pdf of x under N(mean, Sigma)."""

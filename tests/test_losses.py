@@ -1,5 +1,7 @@
 """Loss oracles: finite-difference gradients, unbiased batching, Gibbs targets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -349,6 +351,103 @@ class TestMicroMlp:
         net = MicroMlp()
         with pytest.raises(ValueError):
             net.forward(np.zeros(net.n_params - 1), np.zeros((1, 2)))
+
+
+def reference_hidden(net, theta, inputs):
+    layers = net.unpack(theta)
+    hs = [np.atleast_2d(np.asarray(inputs, dtype=float))]
+    for w, b in layers[:-1]:
+        hs.append(np.maximum(hs[-1] @ w + b, 0.0))
+    w, b = layers[-1]
+    return layers, hs, hs[-1] @ w + b
+
+
+def reference_probs(net, theta, inputs):
+    """`MicroMlp.forward` by its first formulas: numpy row reductions."""
+    z = reference_hidden(net, theta, inputs)[2]
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_loss_and_grad(net, theta, inputs, labels):
+    """`MicroMlp.loss_and_grad` by its first formulas: numpy row and column
+    reductions and a fresh array for every intermediate."""
+    layers, hs, logits = reference_hidden(net, theta, inputs)
+    zmax = logits.max(axis=1)
+    lse = zmax + np.log(np.exp(logits - zmax[:, None]).sum(axis=1))
+    rows = np.arange(logits.shape[0])
+    loss = float(np.mean(lse - logits[rows, labels]))
+    dz = np.exp(logits - lse[:, None])
+    dz[rows, labels] -= 1.0
+    dz /= logits.shape[0]
+    grads = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        grads[i] = np.concatenate([(hs[i].T @ dz).ravel(), dz.sum(axis=0)])
+        if i > 0:
+            dz = (dz @ layers[i][0].T) * (hs[i] > 0.0)
+    return loss, np.concatenate(grads)
+
+
+class TestSweepBits:
+    """The sweep's column-wise reductions and in-place temporaries give the
+    bytes of the references' row reductions and fresh arrays.
+
+    Hidden widths start at 2: numpy sums a single column pairwise, while
+    einsum, like `.sum(axis=0)` on two columns or more, adds row by row.
+    """
+
+    @settings(max_examples=150)
+    @given(
+        hidden=st.lists(st.integers(2, 24), max_size=3),
+        n=st.integers(1, 300),
+        scale=st.sampled_from([1.0, 50.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_loss_grad_and_probs_match_reference(self, hidden, n, scale, seed):
+        net = MicroMlp((2, *hidden, 2))
+        rng = np.random.default_rng(seed)
+        theta = net.init_params(rng) * scale  # x50 saturates the logits
+        x = rng.standard_normal((n, 2))
+        y = rng.integers(0, 2, n)
+        loss, grad = reference_loss_and_grad(net, theta, x, y)
+        got_loss, got_grad = net.loss_and_grad(theta, x, y)
+        assert got_loss == loss
+        np.testing.assert_array_equal(got_grad, grad)
+        assert got_grad.tobytes() == grad.tobytes()  # signed zeros included
+        assert net.forward(theta, x).tobytes() == reference_probs(net, theta, x).tobytes()
+
+    @settings(max_examples=150)
+    @given(rows=st.integers(1, 400), cols=st.integers(2, 40), seed=st.integers(0, 2**16))
+    def test_einsum_column_sum_is_sum_axis_0(self, rows, cols, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-5, 5, (rows, cols))
+        assert np.einsum("ij->j", a).tobytes() == a.sum(axis=0).tobytes()
+
+    @pytest.mark.parametrize("bad_label", [-1, 2])
+    def test_oracle_rejects_labels_outside_the_output(self, bad_label):
+        # the sweep reads each row's label through a flat index, which an
+        # out-of-range label would point into a neighbouring row
+        with pytest.raises(ValueError, match="labels"):
+            MlpClassificationLoss(MicroMlp((2, 4, 2)), np.zeros((2, 2)), np.array([0, bad_label]))
+
+    def test_sweep_peak_memory_below_reference(self):
+        # a count of bytes, which host load cannot move: 2-16-16-2 at n=2000
+        net = MicroMlp()
+        x, y, _, _ = two_moons(n_train=2000, n_test=1)
+        theta = net.init_params(np.random.default_rng(0))
+
+        def peak(fn):
+            fn()
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        ours = peak(lambda: net.loss_and_grad(theta, x, y))
+        reference = peak(lambda: reference_loss_and_grad(net, theta, x, y))
+        assert ours <= 0.85 * reference, (ours, reference)
 
 
 class TestDataset:

@@ -231,3 +231,23 @@ class TestExtremeStretch:
         assert cov.log_det() == pytest.approx(2.0 * 160.0 * np.log(10.0), rel=1e-14)
         mean = np.zeros(2)
         assert np.isfinite(cov.log_density(mean, np.array([3.0, -2.0])))
+
+    @pytest.mark.parametrize("sigma_dir", [0.5, 3.0])
+    def test_offset_past_the_square_overflow_edge(self, sigma_dir):
+        # x = sigma z + sigma_dir xi d with |d| = 1e200: x @ x and d @ x
+        # overflow, the form does not; z is kept off d's axis, where adding
+        # it to a 1e200 entry would round it away
+        rng = np.random.default_rng(5)
+        sigma, xi = 0.3, 0.7
+        d = np.zeros(4)
+        d[1] = 1e200
+        z = rng.standard_normal(4)
+        z[1] = 0.0
+        x = sigma * z + sigma_dir * xi * d
+        cov = ProlateCovariance(sigma, sigma_dir, d)
+        with np.errstate(over="ignore"):
+            assert cov.inv_quad_form(x) == pytest.approx(z @ z + xi * xi, rel=1e-9)
+            assert np.isfinite(cov.log_density(np.zeros(4), x))
+            # no stretch: the isotropic form of an offset past 1e154
+            iso = ProlateCovariance(1e10, 0.0, d)
+            assert iso.inv_quad_form(np.full(4, 1e160)) == pytest.approx(4e300, rel=1e-12)
