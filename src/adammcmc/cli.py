@@ -8,6 +8,7 @@ arguments, 3 numerical abort.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -107,12 +108,7 @@ def cmd_run(args) -> int:
             "dim": int(summary.samples.shape[1]),
             "n_samples": int(summary.samples.shape[0]),
             "sample_steps": summary.sample_steps,
-            "schedule": {
-                "total_steps": config.steps,
-                "burn_in": config.burn_in,
-                "gap": config.gap,
-                "n_samples": config.n_samples,
-            },
+            "schedule": dataclasses.asdict(result.experiment.schedule),
             "config_hash": config.config_hash(),
             "seed": config.seed,
         },

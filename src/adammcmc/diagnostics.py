@@ -1,11 +1,10 @@
-"""Verification instruments: gridded target densities and TV distance,
+"""Verification instruments: a gridded 1-D target density and TV distance,
 a detailed-balance checker driven against dense linear algebra, acceptance
 scans over hyperparameter grids, and the full-vs-stochastic accept-test
 comparison."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -39,41 +38,36 @@ from .samplers import (
 
 @dataclass
 class GridDensity:
-    """Normalized cell masses of a density on a regular 1D or 2D grid."""
+    """Normalized cell masses of a 1-D density on a regular grid."""
 
-    edges: tuple[np.ndarray, ...]
+    edges: np.ndarray
     log_mass: np.ndarray
 
     @classmethod
     def from_target(cls, target: GibbsTarget, bounds, resolution: int) -> "GridDensity":
-        """Evaluate exp(-lam * L) at the centers of resolution cells per
-        dimension and normalize via log-sum-exp; bounds is a (lo, hi) pair
-        per dimension."""
-        if len(bounds) not in (1, 2):
-            raise ValueError("grids support 1 or 2 dimensions only")
-        edges = tuple(np.linspace(lo, hi, resolution + 1) for lo, hi in bounds)
-        centers = [0.5 * (e[:-1] + e[1:]) for e in edges]
-        logs = np.array(
-            [target.log_unnorm(np.array(point)) for point in itertools.product(*centers)]
-        ).reshape([c.size for c in centers])
+        """Evaluate exp(-lam * L) at the centers of resolution cells on the
+        interval bounds = (lo, hi) and normalize via log-sum-exp."""
+        if target.dim != 1:
+            raise ValueError(f"grids support 1-D targets only, got dim {target.dim}")
+        lo, hi = bounds
+        edges = np.linspace(lo, hi, resolution + 1)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        logs = np.array([target.log_unnorm(np.array([c])) for c in centers])
         from scipy.special import logsumexp  # kept off the import path of the sampler
 
-        log_mass = logs - logsumexp(logs)
-        return cls(edges=edges, log_mass=log_mass)
+        return cls(edges=edges, log_mass=logs - logsumexp(logs))
 
     @property
     def masses(self) -> np.ndarray:
         return np.exp(self.log_mass)
 
     def histogram_masses(self, samples: np.ndarray) -> np.ndarray:
-        """Empirical cell masses of samples on this grid, normalized by the
-        total sample count (out-of-range samples lose their mass)."""
+        """Empirical cell masses of flat samples on this grid, normalized by
+        the total sample count (out-of-range samples lose their mass)."""
         samples = np.asarray(samples, dtype=float)
-        if samples.ndim == 1:
-            samples = samples[:, None]
-        if samples.shape[1] != len(self.edges):
-            raise ValueError("sample dimension does not match the grid")
-        counts, _ = np.histogramdd(samples, bins=self.edges)
+        if samples.ndim != 1:
+            raise ValueError(f"samples must be a flat array, got shape {samples.shape}")
+        counts, _ = np.histogram(samples, bins=self.edges)
         return counts / samples.shape[0]
 
 
@@ -118,14 +112,17 @@ def truncated_gaussian_variance(lam: float, half_width: float) -> float:
     return (1.0 - 2.0 * a * phi / math.erf(a / math.sqrt(2.0))) / lam
 
 
-def grid_moments(grid: GridDensity):
-    """Mean and per-coordinate variance of a gridded density (cell centers)."""
-    masses = grid.masses
-    centers = [0.5 * (e[:-1] + e[1:]) for e in grid.edges]
-    coords = np.meshgrid(*centers, indexing="ij")
-    mean = np.array([float(np.sum(masses * c)) for c in coords])
-    var = np.array([float(np.sum(masses * (c - m) ** 2)) for c, m in zip(coords, mean)])
-    return mean, var
+def banana_variance(lam: float, curvature: float) -> np.ndarray:
+    """Per-coordinate variance of the 2-D banana posterior, in closed form.
+
+    With s^2 = 1 / (2 lam) and c the curvature, x ~ N(1, s^2) and
+    y | x ~ N(x^2, 1 / (2 lam c)), so Var x = s^2 and
+    Var y = 4 s^2 + 2 s^4 + 1 / (2 lam c).  The prior box is ignored: at the
+    default half-width 100 it moves Var y by about 0.5% at lam = 0.1 and by
+    less than 1e-8 (relative) at lam >= 0.3.
+    """
+    s_sq = 0.5 / lam
+    return np.array([s_sq, 4.0 * s_sq + 2.0 * s_sq * s_sq + 0.5 / (lam * curvature)])
 
 
 def tv_trace(samples: np.ndarray, target: GridDensity, checkpoints) -> list[tuple[int, float]]:
@@ -237,7 +234,10 @@ def detailed_balance_violations(
 # Acceptance scans
 # ---------------------------------------------------------------------------
 
-SCAN_PARAMS = ("sigma", "sigma_dir", "beta", "lambda")
+SCAN_FIELDS = {  # each scanned hyperparameter and the config fields it sets
+    "sigma": ("sigma",), "sigma_dir": ("sigma_dir",), "beta": ("beta1", "beta2"), "lambda": ("lam",)
+}
+SCAN_PARAMS = tuple(SCAN_FIELDS)
 
 
 @dataclass
@@ -252,15 +252,9 @@ class ScanRow:
 
 def apply_scan_value(config: RunConfig, param: str, value: float) -> RunConfig:
     """Override one scanned hyperparameter; 'beta' sets both momenta decays."""
-    if param == "sigma":
-        return config.replace(sigma=float(value))
-    if param == "sigma_dir":
-        return config.replace(sigma_dir=float(value))
-    if param == "beta":
-        return config.replace(beta1=float(value), beta2=float(value))
-    if param == "lambda":
-        return config.replace(lam=float(value))
-    raise ValueError(f"unknown scan parameter {param!r}; choose from {SCAN_PARAMS}")
+    if param not in SCAN_FIELDS:
+        raise ValueError(f"unknown scan parameter {param!r}; choose from {SCAN_PARAMS}")
+    return config.replace(**dict.fromkeys(SCAN_FIELDS[param], float(value)))
 
 
 def _scan_metric(result) -> tuple[float, str]:
@@ -270,16 +264,12 @@ def _scan_metric(result) -> tuple[float, str]:
     if cfg.target in ("quadratic", "noisy_quadratic"):
         # center shifts leave the per-coordinate truncated variance unchanged
         truth = truncated_gaussian_variance(cfg.lam, cfg.prior_half_width)
-        sample_var = result.summary.samples.var(axis=0, ddof=1)
-        return float(np.abs(sample_var - truth).mean()), "variance_error"
-    if cfg.target == "banana" and cfg.dim == 2:
-        grid = GridDensity.from_target(
-            result.experiment.target, bounds=[(-3.0, 4.0), (-2.0, 12.0)], resolution=160
-        )
-        _, grid_var = grid_moments(grid)
-        sample_var = result.summary.samples.var(axis=0, ddof=1)
-        return float(np.abs(sample_var - grid_var).mean()), "variance_error"
-    return float("nan"), "none"
+    elif cfg.target == "banana" and cfg.dim == 2:
+        truth = banana_variance(cfg.lam, result.experiment.target.oracle.curvature)
+    else:
+        return float("nan"), "none"
+    sample_var = result.summary.samples.var(axis=0, ddof=1)
+    return float(np.abs(sample_var - truth).mean()), "variance_error"
 
 
 def _scan_one(args) -> ScanRow:
@@ -395,8 +385,9 @@ def compare_full_vs_stochastic_mh(config: RunConfig, batch_size: int) -> MhCompa
     end state with identical fresh RNG streams, so the comparison happens in
     the same region of parameter space (cold-started pairs drift into
     different basins and the acceptance comparison becomes meaningless).
-    A batch_size outside [1, n_points) raises ConfigError before any chain
-    runs: a batch that covers the data would make both chains full-batch.
+    A batch_size outside [1, n_points) or fewer than 2 steps after burn-in
+    raise ConfigError before any chain runs: a batch that covers the data
+    would make both chains full-batch, and one step has no loss variance.
     """
     experiment = build_experiment(config)
     n_points = experiment.target.oracle.n_points
@@ -404,12 +395,16 @@ def compare_full_vs_stochastic_mh(config: RunConfig, batch_size: int) -> MhCompa
         raise ConfigError(
             "batch_size", f"compare-mh needs a minibatch in [1, {n_points}), got {batch_size}"
         )
+    compare_steps = config.steps - config.burn_in
+    if compare_steps < 2:
+        raise ConfigError(
+            "steps", f"compare-mh needs at least 2 steps after burn_in, got {compare_steps}"
+        )
     # hand-rolled because run_chain keeps the samples and record, not the end state
     warm, warm_fn = start_chain(experiment, batch_size)
     for _ in range(config.burn_in):
         warm, _ = warm_fn(warm)
 
-    compare_steps = config.steps - config.burn_in
     schedule = ChainSchedule(compare_steps, 0, max(1, compare_steps // 2), 1)
     records = {}
     for label, bsize in (("full", 0), ("stochastic", batch_size)):

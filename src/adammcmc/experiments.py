@@ -33,9 +33,9 @@ from .samplers import (
     AdamParams,
     ChainState,
     CorrectionParams,
-    Evaluation,
     ProposalParams,
     SghmcParams,
+    _evaluate,
     adam_step,
     adammcmc_step,
     mala_step,
@@ -123,11 +123,9 @@ def initial_state(experiment: Experiment, init_rng, chain_rng) -> ChainState:
     else:
         theta0 = 0.1 * init_rng.standard_normal(cfg.dim)
     state = ChainState.init(theta0, chain_rng)
-    target = experiment.target
-    loss0, grad_fn = target.oracle.evaluate(state.theta, None)
-    if not np.isfinite(loss0):
-        raise NumericalAbort(f"initial loss is not finite: {loss0}")
-    state.current = Evaluation(loss0, target.prior.contains(state.theta), True, grad_fn)
+    state.current = _evaluate(experiment.target, state.theta, None)
+    if not np.isfinite(state.current.loss):
+        raise NumericalAbort(f"initial loss is not finite: {state.current.loss}")
     return state
 
 

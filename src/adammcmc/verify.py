@@ -208,7 +208,7 @@ def criterion_posterior_moments():
 
 def criterion_tv_convergence():
     target = quadratic_target(1, lam=1.0, half_width=10.0)
-    grid = GridDensity.from_target(target, bounds=[(-5.0, 5.0)], resolution=32)
+    grid = GridDensity.from_target(target, bounds=(-5.0, 5.0), resolution=32)
     ap = AdamParams(gamma=1e-3, beta1=0.99, beta2=0.99)
     pp = ProposalParams(sigma=0.5, sigma_dir=5.0)
     summary, _ = _adammcmc_chain(

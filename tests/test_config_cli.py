@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from adammcmc.chain import ChainRecord, load_samples_csv, run_chain
 from adammcmc.cli import main
 from adammcmc.config import CORRECTIONS, SAMPLERS, TARGETS, ConfigError, RunConfig
-from adammcmc.experiments import build_experiment, initial_state, make_step_fn
+from adammcmc.experiments import build_experiment, initial_state, make_step_fn, start_chain
 from adammcmc.losses import BatchStream
+from adammcmc.mlp import save_dataset_csv, two_moons
 
 FAST_RUN = dict(
     target="quadratic",
@@ -127,6 +128,44 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=f"'{unset}'"):
             RunConfig(correction="full", **{given_field: 0.05}).validate()
 
+    # one bad value per rule of validate (and per from_json error), each
+    # paired with the field its ConfigError must name
+    BAD_CONFIGS = [
+        ("target", {"target": "gaussian"}),
+        ("sampler", {"sampler": "hmc"}),
+        ("dim", {"dim": 0}),
+        ("dim", {"target": "banana", "dim": 1}),
+        ("gamma", {"gamma": 0.0}),
+        ("sigma_dir", {"sigma_dir": -1.0}),
+        ("beta1", {"beta1": 1.0}),
+        ("beta2", {"beta2": -0.1}),
+        ("delta", {"delta": 0.0}),
+        ("prior_half_width", {"prior_half_width": -1.0}),
+        ("steps", {"steps": 0}),
+        ("burn_in", {"burn_in": -1}),
+        ("gap", {"gap": 0}),
+        ("n_samples", {"n_samples": 0}),
+        ("batch_size", {"batch_size": -1}),
+        ("s_sq", {"s_sq": 0.0}),
+        ("rho1", {"correction": "full", "rho1": 0.0, "rho2": 0.05}),
+        ("rho2", {"correction": "full", "rho1": 0.05, "rho2": -0.05}),
+        ("friction", {"friction": 1.5}),
+        ("noise_scale", {"noise_scale": -1.0}),
+        ("seed", {"seed": -1}),
+        ("lam", {"lam": 10**400}),  # an int past the float range
+    ]
+    BAD_TEXTS = [(field, json.dumps({**FAST_RUN, **bad})) for field, bad in BAD_CONFIGS] + [
+        ("<json>", '{"sigma": 0.5,'),
+        ("<json>", "[1, 2]"),
+    ]
+
+    BAD_IDS = [f"{i}-{field}" for i, (field, _) in enumerate(BAD_TEXTS)]
+
+    @pytest.mark.parametrize("field, text", BAD_TEXTS, ids=BAD_IDS)
+    def test_every_rule_names_its_field(self, field, text):
+        with pytest.raises(ConfigError, match=f"config field '{field}'"):
+            RunConfig.from_json(text)
+
     def test_sigma_dir_nullable(self):
         cfg = RunConfig(**{**FAST_RUN, "sigma_dir": None})
         text = cfg.to_json()
@@ -167,6 +206,44 @@ class TestCmdRun:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert f"config field '{field}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    RUN_CASES = [
+        pytest.param(*case, id=case_id)
+        for case, case_id in zip(TestRunConfig.BAD_TEXTS, TestRunConfig.BAD_IDS)
+        if case[0] in ("target", "dim", "rho2", "lam", "<json>")
+    ]
+
+    @pytest.mark.parametrize("field, text", RUN_CASES)
+    def test_rule_violation_exit_2_names_field(self, tmp_path, capsys, field, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"config field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_boundary_rejects_counted(self, tmp_path, capsys):
+        # a box of half-width 0.5 against proposals of scale 0.5: some leave it
+        overrides = dict(FAST_RUN, prior_half_width=0.5)
+        experiment = build_experiment(RunConfig(**overrides))
+        state0, step_fn = start_chain(experiment, 0)
+        outside = 0
+
+        def counting(state):
+            nonlocal outside
+            state, info = step_fn(state)
+            outside += not info.proposal_in_prior
+            return state, info
+
+        _, record = run_chain(counting, state0, experiment.schedule)
+        assert record.n_boundary_rejects > 0
+        assert record.n_boundary_rejects == outside
+
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["run", "--config", str(write_config(tmp_path, **overrides)),
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "ensemble.json").read_text())["boundary_rejects"] == outside
+        assert f", {outside} boundary rejects," in capsys.readouterr().out
 
     def test_diverging_chain_exit_3(self, tmp_path, capsys):
         path = tmp_path / "sgd.json"
@@ -379,6 +456,20 @@ class TestDatasetCsv:
         assert "'dataset'" in capsys.readouterr().err
 
 
+    def test_valid_dataset_runs(self, tmp_path):
+        inputs, labels, _, _ = two_moons()
+        data = tmp_path / "data.csv"
+        save_dataset_csv(data, inputs[:200], labels[:200])
+        config_path = write_config(
+            tmp_path, target="mlp", dataset=str(data), sigma=0.01, sigma_dir=20.0,
+            gamma=0.001, steps=40, burn_in=20, gap=2, n_samples=10,
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        accuracy = json.loads((out / "ensemble.json").read_text())["test_accuracy"]
+        assert 0.0 <= accuracy <= 1.0
+
+
 class TestCmdCompareMh:
     def test_outputs(self, tmp_path):
         config_path = write_config(tmp_path)
@@ -416,6 +507,19 @@ class TestCmdCompareMh:
         argv = ["compare-mh", "--config", str(config_path), "--batch-size", batch_size]
         assert main(argv + ["--out", str(out)]) == 2
         assert "'batch_size'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_single_compare_step_exit_2(self, tmp_path, capsys):
+        # one step after burn-in leaves no loss variance: comparison.json
+        # would hold NaN, which is not JSON
+        config_path = write_config(
+            tmp_path, target="noisy_quadratic", dim=2, steps=12, burn_in=11, gap=1,
+            n_samples=1,
+        )
+        out = tmp_path / "cmp"
+        argv = ["compare-mh", "--config", str(config_path), "--batch-size", "32"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "config field 'steps'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("case", ["out_is_file", "out_under_file"])

@@ -9,6 +9,7 @@ from adammcmc.diagnostics import (
     GridDensity,
     MhComparison,
     apply_scan_value,
+    banana_variance,
     compare_full_vs_stochastic_mh,
     detailed_balance_violations,
     scan_acceptance,
@@ -16,6 +17,7 @@ from adammcmc.diagnostics import (
     tv_distance,
     tv_to_target,
 )
+from adammcmc.experiments import run_experiment
 from adammcmc.losses import quadratic_target
 from adammcmc.samplers import AdamParams, CorrectionParams, ProposalParams
 
@@ -23,31 +25,24 @@ from adammcmc.samplers import AdamParams, CorrectionParams, ProposalParams
 class TestGridDensity:
     def test_masses_normalized_1d(self):
         grid = GridDensity.from_target(
-            quadratic_target(1), bounds=[(-4, 4)], resolution=64
+            quadratic_target(1), bounds=(-4, 4), resolution=64
         )
-        assert grid.masses.sum() == pytest.approx(1.0, abs=1e-10)
-
-    def test_masses_normalized_2d(self):
-        grid = GridDensity.from_target(
-            quadratic_target(2), bounds=[(-4, 4), (-4, 4)], resolution=32
-        )
-        assert grid.masses.shape == (32, 32)
         assert grid.masses.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_high_dimensions(self):
         with pytest.raises(ValueError):
             GridDensity.from_target(
-                quadratic_target(3), bounds=[(-1, 1)] * 3, resolution=4
+                quadratic_target(2), bounds=(-1, 1), resolution=4
             )
 
     def test_gaussian_shape(self):
         # masses should integrate the standard normal over each cell
         grid = GridDensity.from_target(
-            quadratic_target(1, half_width=50.0), bounds=[(-6, 6)], resolution=120
+            quadratic_target(1, half_width=50.0), bounds=(-6, 6), resolution=120
         )
         from scipy.stats import norm
 
-        edges = grid.edges[0]
+        edges = grid.edges
         expect = norm.cdf(edges[1:]) - norm.cdf(edges[:-1])
         # midpoint rule vs exact cell integral: O(h^2) discretization error
         np.testing.assert_allclose(grid.masses, expect / expect.sum(), atol=5e-5)
@@ -56,13 +51,13 @@ class TestGridDensity:
 class TestTvDistance:
     def test_identical_distributions(self):
         grid = GridDensity.from_target(
-            quadratic_target(1), bounds=[(-4, 4)], resolution=32
+            quadratic_target(1), bounds=(-4, 4), resolution=32
         )
         assert tv_distance(grid.masses, grid) == pytest.approx(0.0, abs=1e-14)
 
     def test_disjoint_supports(self):
         grid = GridDensity.from_target(
-            quadratic_target(1), bounds=[(-4, 4)], resolution=32
+            quadratic_target(1), bounds=(-4, 4), resolution=32
         )
         empirical = np.zeros(32)
         assert tv_distance(empirical, grid) == pytest.approx(0.5)
@@ -71,7 +66,7 @@ class TestTvDistance:
 
     def test_grid_mismatch(self):
         grid = GridDensity.from_target(
-            quadratic_target(1), bounds=[(-4, 4)], resolution=32
+            quadratic_target(1), bounds=(-4, 4), resolution=32
         )
         with pytest.raises(ValueError):
             tv_distance(np.zeros(16), grid)
@@ -80,7 +75,7 @@ class TestTvDistance:
         # exact i.i.d. draws from the 1D truncated Gaussian: the TV against
         # its own grid is just binning + Monte Carlo noise, below 0.02
         target = quadratic_target(1, lam=1.0, half_width=1.0)
-        grid = GridDensity.from_target(target, bounds=[(-1, 1)], resolution=40)
+        grid = GridDensity.from_target(target, bounds=(-1, 1), resolution=40)
         rng = np.random.default_rng(4)
         draws = []
         while len(draws) < 100_000:
@@ -91,7 +86,7 @@ class TestTvDistance:
 
     def test_minimum_sample_count_enforced(self):
         target = quadratic_target(1)
-        grid = GridDensity.from_target(target, bounds=[(-4, 4)], resolution=16)
+        grid = GridDensity.from_target(target, bounds=(-4, 4), resolution=16)
         with pytest.raises(ValueError):
             tv_to_target(np.zeros(10), grid)
 
@@ -134,6 +129,38 @@ class TestTruncatedGaussianVariance:
     def test_exact_once_the_tail_underflows(self, lam):
         for a in (40.0, 50.0, 100.0, 1e3):
             assert truncated_gaussian_variance(lam, a / np.sqrt(lam)) == 1.0 / lam
+
+
+class TestBananaVariance:
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 3.0])
+    def test_matches_midpoint_sum(self, lam):
+        # 600 x 600 midpoint sum of exp(-lam L) over a box that holds all but
+        # a negligible part of the mass; with curvature 10 the y-cells stay
+        # near the conditional sd, where the midpoint rule is still
+        # spectrally accurate for the Gaussian in y
+        curvature = 10.0
+        x = np.linspace(-15.0, 17.0, 601)
+        y = np.linspace(-5.0, 100.0, 601)
+        xc, yc = np.meshgrid(0.5 * (x[:-1] + x[1:]), 0.5 * (y[:-1] + y[1:]), indexing="ij")
+        loss = (1.0 - xc) ** 2 + curvature * (yc - xc**2) ** 2
+        weights = np.exp(-lam * (loss - loss.min()))
+        weights /= weights.sum()
+        expect = []
+        for coord in (xc, yc):
+            mean = float((weights * coord).sum())
+            expect.append(float((weights * (coord - mean) ** 2).sum()))
+        np.testing.assert_allclose(banana_variance(lam, curvature), expect, rtol=1e-4)
+
+    def test_scan_metric_against_closed_form(self):
+        config = RunConfig(
+            target="banana", dim=2, sampler="adammcmc", sigma=0.3, sigma_dir=1.0,
+            gamma=0.01, steps=600, burn_in=100, gap=10, n_samples=50, seed=2,
+        )
+        (row,) = scan_acceptance(config, "lambda", [1.0], n_replicates=0)
+        samples = run_experiment(apply_scan_value(config, "lambda", 1.0)).summary.samples
+        reference = banana_variance(1.0, 10.0)
+        assert row.metric_name == "variance_error"
+        assert row.metric == float(np.abs(samples.var(axis=0, ddof=1) - reference).mean())
 
 
 class TestDetailedBalance:
@@ -253,6 +280,9 @@ class TestScan:
         assert cfg.lam == 3.0
         cfg = apply_scan_value(FAST_SCAN_CONFIG, "sigma_dir", 7.0)
         assert cfg.sigma_dir == 7.0
+        assert apply_scan_value(FAST_SCAN_CONFIG, "sigma", 0.25).sigma == 0.25
+        with pytest.raises(ValueError, match="unknown scan parameter"):
+            apply_scan_value(FAST_SCAN_CONFIG, "delta", 1.0)
 
     def test_pool_capped_at_task_count(self, monkeypatch):
         opened = []

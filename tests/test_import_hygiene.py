@@ -1,5 +1,5 @@
-"""The sampler's import, run, scan and compare-mh paths load numpy only,
-never scipy."""
+"""The sampler's import, run, scan (on every analytic target) and
+compare-mh paths load numpy only, never scipy."""
 
 import os
 import subprocess
@@ -32,6 +32,11 @@ PROGRAM = textwrap.dedent(
     rows = adammcmc.diagnostics.scan_acceptance(scan_config, "sigma", [0.3],
                                                 n_replicates=1, jobs=1)
     assert [row.metric_name for row in rows] == ["variance_error"] * 2
+    banana_config = RunConfig(target="banana", dim=2, sigma=0.3, sigma_dir=1.0, gamma=0.01,
+                              steps=200, burn_in=100, gap=10, n_samples=10, seed=0)
+    rows = adammcmc.diagnostics.scan_acceptance(banana_config, "lambda", [1.0],
+                                                n_replicates=0, jobs=1)
+    assert rows[0].metric_name == "variance_error", rows
     adammcmc.diagnostics.compare_full_vs_stochastic_mh(scan_config, batch_size=32)
     print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
     """
