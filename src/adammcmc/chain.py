@@ -4,6 +4,7 @@ and ensemble prediction with quantile spread."""
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass
 
@@ -56,12 +57,12 @@ CSV_COLUMNS = ("step", "loss", "log_alpha", "accepted", "theta_norm", "u_norm")
 class ChainRecord:
     """Per-step log of a chain run.
 
-    The CSV serialization has the fixed columns (step, loss, log_alpha,
-    accepted, theta_norm, u_norm); wall-clock timings stay in memory only so
-    records are byte-stable across reruns.
+    Every record's steps are 1..n, so `step` is derived, not stored.  The
+    CSV serialization has the fixed columns (step, loss, log_alpha,
+    accepted, theta_norm, u_norm); wall-clock timings stay in memory only,
+    as float32, so records are byte-stable across reruns.
     """
 
-    step: np.ndarray
     loss: np.ndarray
     log_alpha: np.ndarray
     accepted: np.ndarray
@@ -69,6 +70,10 @@ class ChainRecord:
     u_norm: np.ndarray
     step_seconds: np.ndarray | None = None
     n_boundary_rejects: int = 0
+
+    @property
+    def step(self) -> np.ndarray:
+        return np.arange(1, self.loss.size + 1)
 
     @property
     def acceptance_rate(self) -> float:
@@ -80,10 +85,10 @@ class ChainRecord:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            for i in range(self.step.size):
+            for i in range(self.loss.size):
                 writer.writerow(
                     [
-                        int(self.step[i]),
+                        i + 1,
                         repr(float(self.loss[i])),
                         repr(float(self.log_alpha[i])),
                         int(self.accepted[i]),
@@ -103,8 +108,10 @@ class ChainRecord:
             for row in reader:
                 for name, value in zip(CSV_COLUMNS, row):
                     cols[name].append(value)
+        steps = np.array(cols["step"], dtype=int)
+        if not np.array_equal(steps, np.arange(1, steps.size + 1)):
+            raise ValueError("record steps must run 1..n")
         return cls(
-            step=np.array(cols["step"], dtype=int),
             loss=np.array(cols["loss"], dtype=float),
             log_alpha=np.array(cols["log_alpha"], dtype=float),
             accepted=np.array(cols["accepted"], dtype=int).astype(bool),
@@ -136,13 +143,12 @@ def run_chain(step_fn, state0: ChainState, schedule: ChainSchedule):
     """
     n = schedule.total_steps
     record = ChainRecord(
-        step=np.arange(1, n + 1),
         loss=np.empty(n),
         log_alpha=np.empty(n),
         accepted=np.zeros(n, dtype=bool),
         theta_norm=np.empty(n),
         u_norm=np.empty(n),
-        step_seconds=np.empty(n),
+        step_seconds=np.empty(n, dtype=np.float32),
     )
     wanted = set(schedule.sample_steps)
     samples = np.empty((schedule.n_samples, state0.theta.size))
@@ -157,7 +163,8 @@ def run_chain(step_fn, state0: ChainState, schedule: ChainSchedule):
         record.loss[i] = info.loss
         record.log_alpha[i] = info.log_alpha
         record.accepted[i] = info.accepted
-        record.theta_norm[i] = np.linalg.norm(state.theta)
+        theta = state.theta
+        record.theta_norm[i] = math.sqrt(float(theta @ theta))  # np.linalg.norm's arithmetic
         record.u_norm[i] = info.u_norm
         if not info.proposal_in_prior:
             boundary += 1

@@ -224,8 +224,8 @@ class PriorBox:
             raise ValueError(f"half_width must be positive, got {self.half_width}")
 
     def contains(self, theta: np.ndarray) -> bool:
-        theta = np.asarray(theta, dtype=float)
-        return bool(np.all(np.abs(theta) <= self.half_width))
+        """Whether every entry lies in the box; a NaN entry lies outside."""
+        return bool(np.abs(theta).max() <= self.half_width)
 
 
 @dataclass(frozen=True)

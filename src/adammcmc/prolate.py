@@ -19,14 +19,17 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 def _safe_norm(x: np.ndarray) -> float:
     """Euclidean norm that survives entries near the float64 overflow and
-    underflow edges, where squaring them would overflow or flush to zero."""
-    m = float(np.max(np.abs(x))) if x.size else 0.0
-    if m == 0.0 or not np.isfinite(m):
+    underflow edges, where squaring them would overflow or flush to zero.
+
+    With every entry in range it is sqrt(x . x), np.linalg.norm's arithmetic
+    to the bit without its wrapper."""
+    m = float(np.abs(x).max()) if x.size else 0.0
+    if 1e-150 <= m <= 1e150:
+        return math.sqrt(float(x @ x))
+    if m == 0.0 or not math.isfinite(m):
         return m
-    if m > 1e150 or m < 1e-150:
-        scaled = x / m
-        return m * float(np.sqrt(scaled @ scaled))
-    return float(np.linalg.norm(x))
+    scaled = x / m
+    return m * math.sqrt(float(scaled @ scaled))
 
 
 @dataclass(frozen=True)
@@ -34,9 +37,9 @@ class ProlateCovariance:
     """Implicit covariance sigma^2 I_P + sigma_dir^2 d d^T.
 
     sigma_dir = 0 is a valid mode and reduces every operation to the
-    isotropic case.  The covariance is frozen, so |d| (kept as `norm`), the
-    log determinant and the rank-one shrink factor are computed once, at
-    construction.
+    isotropic case.  The covariance is frozen, so |d| (kept as `norm`) and
+    the rank-one shrink factor are computed once, at construction, and the
+    log determinant on the first log_det() call.
     """
 
     sigma: float
@@ -52,30 +55,52 @@ class ProlateCovariance:
         if d.ndim != 1:
             raise ValueError("direction must be a flat vector")
         norm = _safe_norm(d)
-        # log det = 2 P log(sigma) + log(1 + t) with t = (sigma_dir |d| / sigma)^2,
-        # the log(1 + t) term assembled in log space so that a huge |d| cannot
-        # overflow it; shrink = t / (1 + t) is 0 without a stretch and 1 past
-        # the overflow edge of t
-        log_det = 2.0 * d.shape[0] * np.log(self.sigma)
+        # shrink = t / (1 + t) with t = (sigma_dir |d| / sigma)^2 is 0 without
+        # a stretch and 1 past the overflow edge of t
         shrink = 0.0
         if self.sigma_dir != 0.0 and norm != 0.0:
-            log_r = 2.0 * (np.log(self.sigma_dir) + np.log(norm) - np.log(self.sigma))
-            log_det = log_det + np.logaddexp(0.0, log_r)
             r = self.sigma_dir * norm / self.sigma
             # float ** raises OverflowError past r ~ 1.3e154; from r = 1e150
             # on, 1/t is below the resolution of 1.0 and shrink is 1 anyway
             t = r**2 if r < 1e150 else np.inf
             shrink = 1.0 / (1.0 + 1.0 / t) if t > 0.0 else 0.0
         # frozen: bypass __setattr__
-        self.__dict__.update(direction=d, norm=norm, _log_det=float(log_det), _shrink=shrink)
+        self.__dict__.update(direction=d, norm=norm, _log_det=None, _shrink=shrink)
 
     @property
     def dim(self) -> int:
         return self.direction.shape[0]
 
     def log_det(self) -> float:
-        """Log determinant via the rank-one determinant identity."""
+        """Log determinant via the rank-one determinant identity,
+        2 P log(sigma) + log(1 + t), the log(1 + t) term assembled in log
+        space so that a huge |d| cannot overflow it."""
+        if self._log_det is None:
+            log_det = 2.0 * self.dim * np.log(self.sigma)
+            if self.sigma_dir != 0.0 and self.norm != 0.0:
+                log_r = 2.0 * (np.log(self.sigma_dir) + np.log(self.norm) - np.log(self.sigma))
+                log_det = log_det + np.logaddexp(0.0, log_r)
+            self.__dict__["_log_det"] = float(log_det)
         return self._log_det
+
+    def log_reverse_ratio(self, x: np.ndarray) -> float:
+        """log N(theta; tau - d, Sigma) - log N(tau; theta - d, Sigma) at
+        x = tau - theta: the reverse over the forward density of two
+        proposals that step against d and share this covariance.
+
+        Their log-determinants cancel, and Sherman-Morrison gives
+        Sigma^{-1} d = d / (sigma^2 + sigma_dir^2 |d|^2), so the ratio is
+        2 <x, d_hat> / (sigma^2 / |d| + sigma_dir^2 |d|), each term scaled
+        by |d| on its own so that neither a tiny nor a huge d overflows it;
+        0 when d = 0.
+        """
+        norm = self.norm
+        if not 0.0 < norm < math.inf:
+            return 0.0
+        along = float(x @ (self.direction / norm))
+        return 2.0 * along / (
+            self.sigma * (self.sigma / norm) + self.sigma_dir * (self.sigma_dir * norm)
+        )
 
     def inv_quad_form(self, x: np.ndarray) -> float:
         """x^T Sigma^{-1} x via the rank-one inverse: two dot products.
@@ -134,12 +159,10 @@ class ProlateCovariance:
         isotropic mode consumes exactly the same RNG stream as a plain
         Gaussian random walk.
         """
-        mean = np.asarray(mean, dtype=float)
-        z = rng.standard_normal(self.dim)
-        out = mean + self.sigma * z
+        out = mean + self.sigma * rng.standard_normal(self.direction.size)
         if self.sigma_dir > 0.0:
             xi = rng.standard_normal()
-            out = out + self.sigma_dir * xi * self.direction
+            out += self.sigma_dir * xi * self.direction
         return out
 
     def dense(self) -> np.ndarray:

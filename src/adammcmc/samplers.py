@@ -11,6 +11,7 @@ then one uniform for the accept test.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -159,7 +160,6 @@ class StepInfo:
 
 def adam_momentum_update(m: Momenta, grad: np.ndarray, p: AdamParams) -> Momenta:
     """Exponential moving averages of the gradient and its elementwise square."""
-    grad = np.asarray(grad, dtype=float)
     if grad.shape != m.m1.shape:
         raise ValueError("gradient and momenta dimensions differ")
     return Momenta(
@@ -220,13 +220,13 @@ def _finish_log_alpha(
     A zero-density current state with an in-box proposal is always accepted
     (the only consistent escape); both densities zero rejects (0/0 = 0).
     """
-    if not in_prop or not np.isfinite(loss_prop):
-        return -np.inf
+    if not in_prop or not math.isfinite(loss_prop):
+        return -math.inf
     if not in_cur:
         return 0.0
     delta = -lam * (loss_prop - loss_cur) + (log_bwd - log_fwd) + log_c
-    if np.isnan(delta):
-        return -np.inf
+    if math.isnan(delta):
+        return -math.inf
     return min(0.0, delta)
 
 
@@ -363,14 +363,20 @@ def _adam_log_alpha(
     The one assembly of this acceptance, run by adammcmc_step on its batch
     evaluations and by adammcmc_log_alpha on full-batch ones.  Each
     covariance's direction is its drift: forward around theta - u_fwd,
-    backward around tau - u_bwd (the adam drift passes one covariance twice).
+    backward around tau - u_bwd.  The adam drift passes one covariance
+    twice, and then the density ratio is the covariance's closed form; only
+    their difference enters, so it goes in as log_bwd against log_fwd = 0.
     The gradients are taken only in full correction mode.
     """
-    log_fwd = cov_fwd.log_density(theta - cov_fwd.direction, tau)
-    with np.errstate(invalid="ignore", over="ignore"):
-        log_bwd = cov_bwd.log_density(tau - cov_bwd.direction, theta)
-        log_c = 0.0
-        if cp.mode == "full":
+    if cov_bwd is cov_fwd:
+        log_fwd, log_bwd = 0.0, cov_fwd.log_reverse_ratio(tau - theta)
+    else:
+        log_fwd = cov_fwd.log_density(theta - cov_fwd.direction, tau)
+        with np.errstate(invalid="ignore", over="ignore"):
+            log_bwd = cov_bwd.log_density(tau - cov_bwd.direction, theta)
+    log_c = 0.0
+    if cp.mode == "full":
+        with np.errstate(invalid="ignore", over="ignore"):
             log_c = log_correction(m_next, cur.grad(), prop.grad(), cp, ap)
     return _finish_log_alpha(
         lam, cur.loss, prop.loss, cur.inside, prop.inside, log_fwd, log_bwd, log_c

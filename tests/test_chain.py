@@ -94,6 +94,23 @@ class TestRunChain:
         assert record.step.size == 33
         assert record.step[0] == 1 and record.step[-1] == 33
 
+    def test_theta_norm_equals_numpy_norm(self):
+        rng = np.random.default_rng(3)
+        path = [rng.standard_normal(7) * 10.0 ** rng.uniform(-100, 100) for _ in range(201)]
+        state0 = ChainState.init(path[0], 0)
+        _, record = run_chain(make_stub_step(path), state0, ChainSchedule(200, 0, 1, 200))
+        np.testing.assert_array_equal(record.theta_norm, [np.linalg.norm(p) for p in path[1:]])
+
+    def test_record_stores_only_what_it_measures(self):
+        # steps are derived, timings are float32: 8 * 4 + 1 + 4 bytes a step
+        n = 100
+        state0 = ChainState.init(np.zeros(2), 0)
+        _, record = run_chain(make_stub_step(), state0, ChainSchedule(n, 0, 10, 10))
+        assert "step" not in vars(record)
+        assert record.step_seconds.dtype == np.float32
+        arrays = [v for v in vars(record).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) <= 37 * n
+
     def test_non_finite_position_aborts_at_first_bad_step(self):
         path = [np.zeros(2), np.ones(2), np.array([np.inf, 0.0]), np.array([np.nan, 0.0])]
         state0 = ChainState.init(path[0], 0)
@@ -104,7 +121,6 @@ class TestRunChain:
 class TestRecordCsv:
     def test_roundtrip(self, tmp_path):
         record = ChainRecord(
-            step=np.array([1, 2, 3]),
             loss=np.array([0.5, 0.25, 1.0 / 3.0]),
             log_alpha=np.array([0.0, -np.inf, -1.2345678901234e-5]),
             accepted=np.array([True, False, True]),
@@ -121,7 +137,6 @@ class TestRecordCsv:
 
     def test_fixed_header(self, tmp_path):
         record = ChainRecord(
-            step=np.array([1]),
             loss=np.array([0.0]),
             log_alpha=np.array([0.0]),
             accepted=np.array([True]),
@@ -132,6 +147,14 @@ class TestRecordCsv:
         record.to_csv(path)
         header = path.read_text().splitlines()[0]
         assert header == "step,loss,log_alpha,accepted,theta_norm,u_norm"
+
+    @pytest.mark.parametrize("steps", [(1, 3), (0, 1), (2, 1)])
+    def test_steps_must_run_from_one_to_n(self, tmp_path, steps):
+        path = tmp_path / "r.csv"
+        rows = "".join(f"{k},0.5,0.0,1,1.0,0.1\n" for k in steps)
+        path.write_text("step,loss,log_alpha,accepted,theta_norm,u_norm\n" + rows)
+        with pytest.raises(ValueError, match="1..n"):
+            ChainRecord.from_csv(path)
 
 
 class TestEnsemblePredict:

@@ -612,7 +612,9 @@ class TestGoldenOutputs:
 
     Reruns on one commit giving the same bytes is criterion 10; these digests
     also pin the bytes across commits, so a change that alters sampler output
-    must update them and say so.  Recorded with numpy 2.4.6 and
+    must update them and say so.  The adam-drift digests were recorded again
+    when that drift's proposal ratio became closed form, which moved the
+    log_alpha column and no other byte.  Recorded with numpy 2.4.6 and
     scipy-openblas 0.3.31 on x86-64; another BLAS may round the MLP's
     matrix products differently.
     """
@@ -626,17 +628,18 @@ class TestGoldenOutputs:
             dict(target="quadratic", dim=2, sampler="adammcmc", lam=1.0, gamma=0.01,
                  sigma=0.3, sigma_dir=10.0, beta1=0.99, beta2=0.99, steps=300,
                  burn_in=100, gap=20, n_samples=10, seed=0),
-            "1d81076d2ddae2874050e56291256b7cebf84f731485bdb4f5b6345351849ddc",
+            "323fb71c50e9368d032641127b0bb98948e54d7939ed94f9ef649008008a1c46",
         ),
         "mlp": (
             MLP,
-            "fc4cf173f0a14aa1060ea744d82bc56dfe3fa5819764f852421c8f5ef337c53d",
+            "c01df1658eeb4074a51e4db0ccdf258791308135ce553145d036ec1c74149fc6",
         ),
         # the classifier's minibatch, two-gradient (MALA) and optimizer-tail
-        # paths, recorded before the oracle handed out loss and gradient together
+        # paths, recorded before the oracle handed out loss and gradient
+        # together (the adam-drift minibatch one again for the closed-form ratio)
         "mlp_minibatch": (
             dict(MLP, batch_size=200),
-            "87322603edb657ae210803d7ac17ed3aa7ce35df1aeab8eb3753643fdb11abbf",
+            "7649dced936c9e7f724c3ed0f961ef0daaaaa8d8463a3f04d439b5ed787e83c5",
         ),
         "mlp_mala": (
             dict(MLP, sampler="mala"),
@@ -666,9 +669,10 @@ class TestInitialLoss:
         dict(target="noisy_quadratic", dim=4, sampler="adammcmc", lam=1.0, gamma=0.01,
              sigma=0.3, sigma_dir=2.0, beta1=0.9, beta2=0.9, batch_size=32, steps=300,
              burn_in=100, gap=20, n_samples=10, seed=0),
-        # recorded before initial_state kept its loss; minibatch steps never
-        # read the cached full-batch loss, so the bytes must not move
-        "50daa74d048afafce74aca4ad9240fab35c0a4f437a1a5c2c2eca7ff6c524cb0",
+        # minibatch steps never read the cached full-batch loss, so keeping
+        # initial_state's loss moved no byte; recorded again for the
+        # closed-form proposal ratio, which moved log_alpha only
+        "fa6e5f74b1f56b47b40326ffc748ed2ed8f7788ace7d43c4413ec9a887d17280",
     )
 
     @pytest.mark.parametrize("target", ["quadratic", "mlp"])
@@ -729,20 +733,21 @@ class TestGoldenRewrittenPaths:
         config, _ = TestInitialLoss.MINIBATCH
         names = ["comparison.json", "record_full.csv", "record_stochastic.csv"]
         digest = self.run_digest(tmp_path, ["compare-mh"], config, names)
-        assert digest == "95de1b1253ba6f0761ae20ade00693e74ce8e5f0451a950ee135f2e857c8b169"
+        assert digest == "c7563af9a2c96f7ec0bc3b1eef8b5bb4bd154414ab0bf12afb26e0c4539402ec"
 
 
 class TestGoldenStepPaths:
     """Pinned digests of record.csv + samples.csv for the optimizer baselines
     and the full momentum correction on TestGoldenOutputs' quadratic config,
-    recorded before those steps shared their code paths; the platform note of
-    TestGoldenOutputs applies."""
+    recorded before those steps shared their code paths (full_correction again
+    for the closed-form proposal ratio); the platform note of TestGoldenOutputs
+    applies."""
 
     DIGESTS = {
         "adam": "aa6efbbbb6ca54ffc44f022d677e2c22b98ff455ff32964d10ff269c30167f29",
         "sgd": "5e3d7fec54b517e01831037a649a8ac22bf179353729653a321834b9cd2dc739",
         "sghmc": "e38dfc36cbe2147678a48ec6c5572ecae3d735feaf95686d9c4d400ff9a82bfc",
-        "full_correction": "ff3c23269d8676826f0fea95eedb9e3325251a8b01fbcb71d2405ce6dec440ec",
+        "full_correction": "9bfb3107d40109a66f789789a4df749dc6b0d0461886800a44ee4c7169a28037",
     }
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))

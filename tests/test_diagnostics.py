@@ -204,7 +204,8 @@ class TestDetailedBalance:
         assert np.median(unit) > np.median(full)
 
     def test_sign_mutation_detected(self):
-        # flipping the sign of the rank-one inverse term must break the check
+        # flipping the sign of the stretch term in the closed-form proposal
+        # ratio must break the check
         import adammcmc.prolate as prolate_mod
 
         target = quadratic_target(2, lam=1.0, half_width=10.0)
@@ -212,26 +213,20 @@ class TestDetailedBalance:
         pp = ProposalParams(sigma=0.4, sigma_dir=2.0)
         cp = CorrectionParams.full_from_s2(1e-2, ap)
 
-        original = prolate_mod.ProlateCovariance.inv_quad_form
+        original = prolate_mod.ProlateCovariance.log_reverse_ratio
 
         def buggy(self, x):
-            x = np.asarray(x, dtype=float)
-            s2 = self.sigma * self.sigma
-            iso = float(x @ x) / s2
-            norm_d = float(np.linalg.norm(self.direction))
-            if self.sigma_dir == 0.0 or norm_d == 0.0:
-                return iso
-            cos_comp = float(self.direction @ x) / norm_d
-            t = (self.sigma_dir * norm_d / self.sigma) ** 2
-            return iso + (cos_comp * cos_comp / s2) * (1.0 / (1.0 + 1.0 / t))
+            n = self.norm
+            along = float(x @ self.direction) / n
+            return 2.0 * along / (self.sigma**2 / n - self.sigma_dir**2 * n)
 
-        prolate_mod.ProlateCovariance.inv_quad_form = buggy
+        prolate_mod.ProlateCovariance.log_reverse_ratio = buggy
         try:
             bad = detailed_balance_violations(
                 target, ap, pp, cp, 50, np.random.default_rng(8)
             ).max()
         finally:
-            prolate_mod.ProlateCovariance.inv_quad_form = original
+            prolate_mod.ProlateCovariance.log_reverse_ratio = original
         assert bad > 1e-4
 
 

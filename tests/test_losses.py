@@ -289,7 +289,12 @@ class TestPriorAndTarget:
     def test_prior_box_membership(self):
         box = PriorBox(2.0)
         assert box.contains(np.array([2.0, -2.0]))
+        assert box.contains(np.array([-2.0, 0.0]))
         assert not box.contains(np.array([2.0001, 0.0]))
+        assert not box.contains(np.array([0.0, np.nextafter(-2.0, -3.0)]))
+        assert not box.contains(np.array([0.0, -np.inf]))
+        assert not box.contains(np.array([np.nan, 0.0]))
+        assert not box.contains(np.array([0.0, np.nan]))
 
     def test_log_density_outside_box(self):
         target = quadratic_target(3, lam=2.0, half_width=1.0)

@@ -1,5 +1,8 @@
 """Rank-one covariance math against dense linear-algebra oracles."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -7,7 +10,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import multivariate_normal
 
-from adammcmc.prolate import ProlateCovariance
+from adammcmc.diagnostics import _dense_gaussian_logpdf
+from adammcmc.prolate import ProlateCovariance, _safe_norm
 
 
 def random_cov(rng, dim=None, allow_zero_dir=True):
@@ -251,3 +255,75 @@ class TestExtremeStretch:
             # no stretch: the isotropic form of an offset past 1e154
             iso = ProlateCovariance(1e10, 0.0, d)
             assert iso.inv_quad_form(np.full(4, 1e160)) == pytest.approx(4e300, rel=1e-12)
+
+
+def adam_drift_pair(dim, sigma, sigma_dir, log_norm, seed):
+    """A drift u with |u| = 10^log_norm, its covariance, and a point theta
+    with a draw tau from the proposal around theta - u."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(dim)
+    u *= 10.0**log_norm / np.linalg.norm(u)
+    theta = rng.standard_normal(dim)
+    tau = theta - u + sigma * rng.standard_normal(dim) + sigma_dir * rng.standard_normal() * u
+    return u, ProlateCovariance(sigma, sigma_dir, u), theta, tau
+
+
+SIGMA_DIRS = st.one_of(st.just(0.0), st.floats(0.01, 30.0))
+
+
+class TestReverseRatio:
+    """The closed-form log q(theta | tau) - log q(tau | theta) of two
+    proposals that share one covariance and one drift u."""
+
+    def test_zero_drift(self):
+        cov = ProlateCovariance(0.5, 2.0, np.zeros(3))
+        assert cov.log_reverse_ratio(np.array([1.0, -2.0, 0.5])) == 0.0
+
+    @settings(max_examples=300)
+    @given(
+        dim=st.integers(1, 8),
+        sigma=st.floats(0.01, 10.0),
+        sigma_dir=SIGMA_DIRS,
+        log_norm=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_densities(self, dim, sigma, sigma_dir, log_norm, seed):
+        u, cov, theta, tau = adam_drift_pair(dim, sigma, sigma_dir, log_norm, seed)
+        dense = cov.dense()
+        expected = _dense_gaussian_logpdf(theta, tau - u, dense) - _dense_gaussian_logpdf(
+            tau, theta - u, dense
+        )
+        ratio = cov.log_reverse_ratio(tau - theta)
+        assert abs(ratio - expected) <= 1e-8 * max(1.0, abs(expected))
+
+    @settings(max_examples=300)
+    @given(
+        dim=st.integers(1, 8),
+        sigma=st.floats(0.01, 10.0),
+        sigma_dir=SIGMA_DIRS,
+        log_norm=st.floats(-200.0, 300.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(2, 0.3, 10.0, 300.0, 0)
+    @example(2, 0.3, 10.0, -200.0, 0)
+    @example(4, 0.01, 0.0, 150.0, 1)
+    def test_finite_across_the_float_range(self, dim, sigma, sigma_dir, log_norm, seed):
+        # without a stretch the ratio is about -2 |u|^2 / sigma^2, which is
+        # itself past the float64 range from |u| ~ 1e154 on
+        assume(sigma_dir > 0.0 or log_norm <= 150.0)
+        _, cov, theta, tau = adam_drift_pair(dim, sigma, sigma_dir, log_norm, seed)
+        assert math.isfinite(cov.log_reverse_ratio(tau - theta))
+
+
+class TestSafeNorm:
+    def test_overflow_edge_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = _safe_norm(np.array([1e200, 1e200]))
+        assert norm == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+
+    def test_equals_numpy_norm_in_range(self):
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            x = rng.standard_normal(int(rng.integers(1, 400))) * 10.0 ** rng.uniform(-100, 100)
+            assert _safe_norm(x) == np.linalg.norm(x)

@@ -1,12 +1,17 @@
 """Sampler steps against hand arithmetic, reference implementations and stubs."""
 
+import cProfile
 import hashlib
+import pstats
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adammcmc.chain import run_chain
+from adammcmc.config import RunConfig
+from adammcmc.experiments import build_experiment, start_chain
 from adammcmc.losses import (
     GibbsTarget,
     LossOracle,
@@ -693,3 +698,20 @@ def test_one_norm_per_adam_drift_step(monkeypatch):
             before = len(calls)
             state, _ = step(state, target, None)
             assert len(calls) == before + 1
+
+
+def test_adam_step_python_calls():
+    # the step's cost without the host's noise: cProfile's count of
+    # Python-level calls over 500 steps of the README quadratic chain,
+    # run_chain's bookkeeping included
+    config = RunConfig(
+        target="quadratic", dim=2, sampler="adammcmc", lam=1.0, gamma=0.01, sigma=0.3,
+        sigma_dir=10.0, beta1=0.99, beta2=0.99, steps=500, burn_in=0, gap=50, n_samples=10,
+    )
+    experiment = build_experiment(config)
+    state0, step_fn = start_chain(experiment, config.batch_size)
+    profile = cProfile.Profile()
+    profile.enable()
+    run_chain(step_fn, state0, experiment.schedule)
+    profile.disable()
+    assert pstats.Stats(profile).total_calls / config.steps <= 55
