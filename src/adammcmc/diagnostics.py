@@ -6,7 +6,6 @@ comparison."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,6 +312,9 @@ def scan_acceptance(
         for seed in seeds
     ]
     if jobs > 1:
+        # a pool loads multiprocessing; serial scans never import it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             rows = list(pool.map(_scan_one, tasks))
     else:

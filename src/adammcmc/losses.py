@@ -21,13 +21,14 @@ from .mlp import MicroMlp
 class LossOracle(ABC):
     """Loss value + gradient provider with minibatch estimates.
 
-    `evaluate` returns a point's loss and a zero-argument callable for its
-    gradient on the same data; `eval_batch`/`grad_batch` compute either one
-    alone, and `eval`/`grad` are their full-data versions.  A batch averages
-    over an index subset only.  Passing `indices=None` means the full
-    dataset: the stored arrays are used as they are, uncopied, and give the
-    same bits as the batch path on arange(n_points), so batch_size = n
-    reproduces full evaluations bit for bit.
+    `evaluate` is the one method an oracle defines: it returns a point's
+    loss and a zero-argument callable for its gradient on the same data.
+    `eval_batch`/`grad_batch` take either half of it, and `eval`/`grad` are
+    their full-data versions.  A batch averages over an index subset only.
+    Passing `indices=None` means the full dataset: the stored arrays are
+    used as they are, uncopied, and give the same bits as the batch path on
+    arange(n_points), so batch_size = n reproduces full evaluations bit for
+    bit.
     """
 
     dim: int
@@ -38,25 +39,20 @@ class LossOracle(ABC):
         self.n_points = int(n_points)
 
     @abstractmethod
-    def eval_batch(self, theta: np.ndarray, indices) -> float: ...
-
-    @abstractmethod
-    def grad_batch(self, theta: np.ndarray, indices) -> np.ndarray: ...
-
     def evaluate(self, theta: np.ndarray, indices) -> tuple[float, Callable[[], np.ndarray]]:
         """The loss at theta on the batch, and a callable for the gradient there."""
-        return self.eval_batch(theta, indices), lambda: self.grad_batch(theta, indices)
+
+    def eval_batch(self, theta: np.ndarray, indices) -> float:
+        return self.evaluate(theta, indices)[0]
+
+    def grad_batch(self, theta: np.ndarray, indices) -> np.ndarray:
+        return self.evaluate(theta, indices)[1]()
 
     def eval(self, theta: np.ndarray) -> float:
         return self.eval_batch(theta, None)
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
         return self.grad_batch(theta, None)
-
-    @staticmethod
-    def _rows(data: np.ndarray, indices) -> np.ndarray:
-        """The rows of `data` a batch averages over: `data` itself for None."""
-        return data if indices is None else data[np.asarray(indices)]
 
     def check_theta(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -71,12 +67,9 @@ class QuadraticLoss(LossOracle):
     def __init__(self, dim: int, n_points: int = 100):
         super().__init__(dim, n_points)
 
-    def eval_batch(self, theta, indices):
+    def evaluate(self, theta, indices):
         theta = self.check_theta(theta)
-        return 0.5 * float(theta @ theta)
-
-    def grad_batch(self, theta, indices):
-        return self.check_theta(theta).copy()
+        return 0.5 * float(theta @ theta), theta.copy
 
 
 class NoisyQuadraticLoss(LossOracle):
@@ -94,16 +87,18 @@ class NoisyQuadraticLoss(LossOracle):
         self.centers = center_scale * rng.standard_normal((n_points, dim))
         self.center_mean = self.centers.mean(axis=0)
 
-    def eval_batch(self, theta, indices):
+    def evaluate(self, theta, indices):
+        # the loss and the gradient share one gather of the batch rows; each
+        # mean is np.mean's own arithmetic (a pairwise add.reduce, then one
+        # true divide by the count) without its Python wrappers
         theta = self.check_theta(theta)
-        c = self._rows(self.centers, indices)
-        diff = theta[None, :] - c
-        return 0.5 * float(np.mean(np.sum(diff * diff, axis=1)))
-
-    def grad_batch(self, theta, indices):
-        theta = self.check_theta(theta)
-        c = self._rows(self.centers, indices)
-        return theta - c.mean(axis=0)
+        rows = self.centers if indices is None else self.centers[np.asarray(indices)]
+        n = rows.shape[0]
+        diff = theta - rows
+        loss = 0.5 * float(np.add.reduce(np.add.reduce(diff * diff, axis=1)) / n)
+        if indices is None:
+            return loss, lambda: theta - self.center_mean
+        return loss, lambda: theta - np.add.reduce(rows, axis=0) / n
 
 
 class BananaLoss(LossOracle):
@@ -119,21 +114,19 @@ class BananaLoss(LossOracle):
         super().__init__(dim, n_points)
         self.curvature = float(curvature)
 
-    def eval_batch(self, theta, indices):
+    def evaluate(self, theta, indices):
         theta = self.check_theta(theta)
-        head, tail = theta[:-1], theta[1:]
-        return float(
-            np.sum((1.0 - head) ** 2) + self.curvature * np.sum((tail - head**2) ** 2)
-        )
+        head = theta[:-1]
+        resid = theta[1:] - head**2
+        loss = float(np.sum((1.0 - head) ** 2) + self.curvature * np.sum(resid**2))
 
-    def grad_batch(self, theta, indices):
-        theta = self.check_theta(theta)
-        g = np.zeros_like(theta)
-        head, tail = theta[:-1], theta[1:]
-        resid = tail - head**2
-        g[:-1] += -2.0 * (1.0 - head) - 4.0 * self.curvature * head * resid
-        g[1:] += 2.0 * self.curvature * resid
-        return g
+        def grad():
+            g = np.zeros_like(theta)
+            g[:-1] += -2.0 * (1.0 - head) - 4.0 * self.curvature * head * resid
+            g[1:] += 2.0 * self.curvature * resid
+            return g
+
+        return loss, grad
 
 
 class MlpClassificationLoss(LossOracle):
@@ -159,18 +152,15 @@ class MlpClassificationLoss(LossOracle):
         self.labels = labels
 
     def _batch(self, indices):
-        return self._rows(self.inputs, indices), self._rows(self.labels, indices)
+        if indices is None:
+            return self.inputs, self.labels
+        indices = np.asarray(indices)
+        return self.inputs[indices], self.labels[indices]
 
     def evaluate(self, theta, indices):
         theta = self.check_theta(theta)
         loss, saved = self.net.loss_forward(theta, *self._batch(indices))
         return loss, lambda: self.net.loss_backward(theta, saved)
-
-    def eval_batch(self, theta, indices):
-        return self.net.loss(self.check_theta(theta), *self._batch(indices))
-
-    def grad_batch(self, theta, indices):
-        return self.net.loss_and_grad(self.check_theta(theta), *self._batch(indices))[1]
 
 
 def make_batches(n: int, batch_size: int, rng: np.random.Generator):

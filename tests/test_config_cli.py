@@ -415,13 +415,11 @@ class TestCmdScan:
         ],
     )
     def test_bad_scan_argument_exit_2_without_pool(self, tmp_path, capsys, monkeypatch, extra, field):
-        from adammcmc import diagnostics
-
         class NoPool:
             def __init__(self, *args, **kwargs):
                 raise AssertionError("a pool started")
 
-        monkeypatch.setattr(diagnostics, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", NoPool)
         config_path = write_config(tmp_path)
         out = tmp_path / "s"
         argv = ["scan", "--config", str(config_path), "--param", "sigma", "--out", str(out)]

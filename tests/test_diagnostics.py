@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from adammcmc import diagnostics
 from adammcmc.config import ConfigError, RunConfig
 from adammcmc.diagnostics import (
     GridDensity,
@@ -295,7 +294,7 @@ class TestScan:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(diagnostics, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         rows = scan_acceptance(FAST_SCAN_CONFIG, "sigma", [0.4], n_replicates=1, jobs=8)
         assert len(rows) == 2 and opened == [2]
         scan_acceptance(FAST_SCAN_CONFIG, "sigma", [0.3, 0.6], n_replicates=1, jobs=3)
@@ -307,7 +306,7 @@ class TestScan:
             def __init__(self, *args, **kwargs):
                 raise AssertionError("a pool started")
 
-        monkeypatch.setattr(diagnostics, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", NoPool)
         field = "replicates" if n_replicates < 0 else "jobs"
         with pytest.raises(ConfigError, match=f"config field '{field}'"):
             scan_acceptance(FAST_SCAN_CONFIG, "sigma", [0.4], n_replicates=n_replicates, jobs=jobs)

@@ -1,11 +1,15 @@
 """The sampler's import, run, scan (on every analytic target) and
-compare-mh paths load numpy only, never scipy."""
+compare-mh paths load numpy only, never scipy, and a serial scan never
+loads the process pool."""
 
+import json
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import adammcmc
 
@@ -38,18 +42,30 @@ PROGRAM = textwrap.dedent(
                                                 n_replicates=0, jobs=1)
     assert rows[0].metric_name == "variance_error", rows
     adammcmc.diagnostics.compare_full_vs_stochastic_mh(scan_config, batch_size=32)
-    print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    print(json.dumps(sorted(sys.modules)))
     """
 )
 
 
-def test_sampler_paths_never_import_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def loaded_modules(tmp_path_factory):
+    """Every module the program above leaves in sys.modules."""
     src = str(Path(adammcmc.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", PROGRAM], capture_output=True, text=True, env=env,
-        cwd=tmp_path, timeout=120,
+        cwd=tmp_path_factory.mktemp("hygiene"), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]", proc.stdout
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_sampler_paths_never_import_scipy(loaded_modules):
+    assert [m for m in loaded_modules if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def test_serial_scan_never_imports_the_process_pool(loaded_modules):
+    # scan_acceptance imports ProcessPoolExecutor only for jobs > 1
+    pool = ("concurrent.futures.process", "multiprocessing")
+    assert [m for m in loaded_modules if m in pool] == []

@@ -1,5 +1,6 @@
 """Loss oracles: finite-difference gradients, unbiased batching, Gibbs targets."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -148,11 +149,15 @@ class TestBatching:
         )
 
     def test_full_indices_bitwise_equal_to_eval(self):
-        net = MicroMlp((2, 6, 2))
-        x, y, _, _ = two_moons(n_train=24, n_test=8, seed=13)
-        oracle = MlpClassificationLoss(net, x, y)
-        theta = net.init_params(np.random.default_rng(1))
-        assert oracle.eval_batch(theta, np.arange(24)) == oracle.eval(theta)
+        # the batch path on arange(n) gathers a copy of every row; the
+        # full-data path reads the stored arrays (the noisy oracle's
+        # gradient reads its stored center mean)
+        rng = np.random.default_rng(1)
+        for oracle in make_oracles():
+            theta = rng.standard_normal(oracle.dim)
+            loss, grad_fn = oracle.evaluate(theta, np.arange(oracle.n_points))
+            assert loss == oracle.eval(theta)
+            np.testing.assert_array_equal(grad_fn(), oracle.grad(theta))
 
 
 @pytest.fixture
@@ -237,30 +242,66 @@ class TestMlpForwardMemo:
         assert sweeps[0] == calls["evaluate"]
 
 
-BUILTIN_ORACLES = {
-    "quadratic": QuadraticLoss(3, n_points=64),
-    "noisy_quadratic": NoisyQuadraticLoss(3, n_points=64),
-    "banana": BananaLoss(3, n_points=64),
-    "mlp": TestMlpForwardMemo.make_case()[1],
-}
+def separate_formulas(oracle, theta, indices):
+    """Each built-in oracle's loss and gradient as two separate formulas, the
+    way they were written before one `evaluate` computed both."""
+    rows = slice(None) if indices is None else indices
+    if isinstance(oracle, QuadraticLoss):
+        return 0.5 * float(theta @ theta), theta.copy()
+    if isinstance(oracle, NoisyQuadraticLoss):
+        c = oracle.centers[rows]
+        diff = theta[None, :] - c
+        return 0.5 * float(np.mean(np.sum(diff * diff, axis=1))), theta - c.mean(axis=0)
+    if isinstance(oracle, BananaLoss):
+        head, tail = theta[:-1], theta[1:]
+        loss = float(
+            np.sum((1.0 - head) ** 2) + oracle.curvature * np.sum((tail - head**2) ** 2)
+        )
+        g = np.zeros_like(theta)
+        resid = tail - head**2
+        g[:-1] += -2.0 * (1.0 - head) - 4.0 * oracle.curvature * head * resid
+        g[1:] += 2.0 * oracle.curvature * resid
+        return loss, g
+    x, y = oracle.inputs[rows], oracle.labels[rows]
+    return oracle.net.loss(theta, x, y), oracle.net.loss_and_grad(theta, x, y)[1]
 
 
-@settings(max_examples=60)
+@functools.cache
+def builtin_oracle(name, dim):
+    """A built-in oracle on 64 points; dim sets the MLP's hidden width."""
+    if name == "quadratic":
+        return QuadraticLoss(dim, n_points=64)
+    if name == "noisy_quadratic":
+        return NoisyQuadraticLoss(dim, n_points=64, seed=dim)
+    if name == "banana":
+        return BananaLoss(dim + 1, curvature=7.5, n_points=64)
+    x, y, _, _ = two_moons(n_train=64, n_test=8, seed=dim)
+    return MlpClassificationLoss(MicroMlp((2, dim, 2)), x, y)
+
+
+@settings(max_examples=80, deadline=None)
 @given(
-    name=st.sampled_from(sorted(BUILTIN_ORACLES)),
+    name=st.sampled_from(["quadratic", "noisy_quadratic", "banana", "mlp"]),
+    dim=st.integers(1, 6),
     batch_size=st.sampled_from([0, 1, 7, 64]),
-    seed=st.integers(0, 2**16),
+    data=st.data(),
 )
-def test_evaluate_equals_separate_calls(name, batch_size, seed):
-    oracle = BUILTIN_ORACLES[name]
-    rng = np.random.default_rng(seed)
-    theta = rng.standard_normal(oracle.dim)
+def test_evaluate_equals_separate_calls(name, dim, batch_size, data):
+    oracle = builtin_oracle(name, dim)
+    theta = np.array(
+        data.draw(st.lists(st.floats(-10.0, 10.0), min_size=oracle.dim, max_size=oracle.dim))
+    )
     batch = None
     if batch_size:
-        batch = np.sort(rng.choice(oracle.n_points, batch_size, replace=False))
+        rows = st.sets(st.integers(0, oracle.n_points - 1), min_size=batch_size, max_size=batch_size)
+        rows = data.draw(rows)
+        batch = np.array(sorted(rows))
+    want_loss, want_grad = separate_formulas(oracle, theta, batch)
     loss, grad_fn = oracle.evaluate(theta, batch)
-    assert loss == oracle.eval_batch(theta, batch)
-    np.testing.assert_array_equal(grad_fn(), oracle.grad_batch(theta, batch))
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert grad_fn().tobytes() == want_grad.tobytes()
+    assert oracle.eval_batch(theta, batch) == loss
+    np.testing.assert_array_equal(oracle.grad_batch(theta, batch), want_grad)
 
 
 class TestNoisyQuadratic:

@@ -323,11 +323,9 @@ class TestAdamMcmcStep:
             def __init__(self):
                 super().__init__(dim=1, n_points=1)
 
-            def eval_batch(self, theta, indices):
-                return float("inf") if abs(theta[0]) > 1.0 else float(theta[0] ** 2)
-
-            def grad_batch(self, theta, indices):
-                return 2.0 * np.asarray(theta)
+            def evaluate(self, theta, indices):
+                loss = float("inf") if abs(theta[0]) > 1.0 else float(theta[0] ** 2)
+                return loss, lambda: 2.0 * np.asarray(theta)
 
         target = GibbsTarget(ExplodingLoss(), 1.0, PriorBox(100.0))
         state = ChainState.init(np.array([0.9]), 0)
@@ -383,13 +381,10 @@ class TestAdamMcmcStep:
                 super().__init__(dim=2, n_points=1)
                 self.offset = offset
 
-            def eval_batch(self, theta, indices):
-                theta = np.asarray(theta)
+            def evaluate(self, theta, indices):
+                theta = np.asarray(theta, dtype=float)
                 raw = 0.5 * float(theta @ theta)
-                return np.floor(raw * 4096.0) / 4096.0 + self.offset
-
-            def grad_batch(self, theta, indices):
-                return np.asarray(theta, dtype=float).copy()
+                return np.floor(raw * 4096.0) / 4096.0 + self.offset, theta.copy
 
         ap = AdamParams(gamma=0.05, beta1=0.9, beta2=0.9)
         pp = ProposalParams(sigma=0.4, sigma_dir=1.0)
@@ -591,13 +586,13 @@ class TestCurrentEvaluation:
         target = noisy_quadratic_target(3)
         oracle = target.oracle
         calls = []
-        eval_batch = oracle.eval_batch
+        evaluate = oracle.evaluate
 
         def counting(theta, indices):
             calls.append(indices)
-            return eval_batch(theta, indices)
+            return evaluate(theta, indices)
 
-        oracle.eval_batch = counting
+        oracle.evaluate = counting
         state = ChainState.init(np.array([0.3, -0.2, 0.1]), 4)
         batches = make_batches(oracle.n_points, 32, np.random.default_rng(0))
         for batch in batches[:10]:
@@ -700,18 +695,32 @@ def test_one_norm_per_adam_drift_step(monkeypatch):
             assert len(calls) == before + 1
 
 
-def test_adam_step_python_calls():
-    # the step's cost without the host's noise: cProfile's count of
-    # Python-level calls over 500 steps of the README quadratic chain,
-    # run_chain's bookkeeping included
-    config = RunConfig(
-        target="quadratic", dim=2, sampler="adammcmc", lam=1.0, gamma=0.01, sigma=0.3,
-        sigma_dir=10.0, beta1=0.99, beta2=0.99, steps=500, burn_in=0, gap=50, n_samples=10,
-    )
+def python_calls_per_step(config):
+    """cProfile's count of Python-level calls per step of config's chain,
+    run_chain's bookkeeping included: a step's cost without the host's noise."""
     experiment = build_experiment(config)
     state0, step_fn = start_chain(experiment, config.batch_size)
     profile = cProfile.Profile()
     profile.enable()
     run_chain(step_fn, state0, experiment.schedule)
     profile.disable()
-    assert pstats.Stats(profile).total_calls / config.steps <= 55
+    return pstats.Stats(profile).total_calls / config.steps
+
+
+def test_adam_step_python_calls():
+    # 500 steps of the README quadratic chain
+    config = RunConfig(
+        target="quadratic", dim=2, sampler="adammcmc", lam=1.0, gamma=0.01, sigma=0.3,
+        sigma_dir=10.0, beta1=0.99, beta2=0.99, steps=500, burn_in=0, gap=50, n_samples=10,
+    )
+    assert python_calls_per_step(config) <= 55
+
+
+def test_minibatch_noisy_step_python_calls():
+    # the noisy quadratic, P=16, batch 32: the oracle gathers each batch
+    # once per point and reduces without np.mean's wrappers
+    config = RunConfig(
+        target="noisy_quadratic", dim=16, sampler="adammcmc", lam=1.0, gamma=0.01, sigma=0.3,
+        sigma_dir=10.0, batch_size=32, steps=500, burn_in=0, gap=50, n_samples=10,
+    )
+    assert python_calls_per_step(config) <= 55
