@@ -1,4 +1,4 @@
-"""Verification instruments: a gridded 1-D target density and TV distance,
+"""Verification instruments: gridded 1-D target masses and a TV trace,
 a detailed-balance checker driven against dense linear algebra, acceptance
 scans over hyperparameter grids, and the full-vs-stochastic accept-test
 comparison."""
@@ -31,62 +31,42 @@ from .samplers import (
 )
 
 # ---------------------------------------------------------------------------
-# Gridded densities and total variation distance
+# Gridded masses, total variation distance and closed-form variances
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GridDensity:
-    """Normalized cell masses of a 1-D density on a regular grid."""
-
-    edges: np.ndarray
-    log_mass: np.ndarray
-
-    @classmethod
-    def from_target(cls, target: GibbsTarget, bounds, resolution: int) -> "GridDensity":
-        """Evaluate exp(-lam * L) at the centers of resolution cells on the
-        interval bounds = (lo, hi) and normalize via log-sum-exp."""
-        if target.dim != 1:
-            raise ValueError(f"grids support 1-D targets only, got dim {target.dim}")
-        lo, hi = bounds
-        edges = np.linspace(lo, hi, resolution + 1)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        logs = np.array([target.log_unnorm(np.array([c])) for c in centers])
-        from scipy.special import logsumexp  # kept off the import path of the sampler
-
-        return cls(edges=edges, log_mass=logs - logsumexp(logs))
-
-    @property
-    def masses(self) -> np.ndarray:
-        return np.exp(self.log_mass)
-
-    def histogram_masses(self, samples: np.ndarray) -> np.ndarray:
-        """Empirical cell masses of flat samples on this grid, normalized by
-        the total sample count (out-of-range samples lose their mass)."""
-        samples = np.asarray(samples, dtype=float)
-        if samples.ndim != 1:
-            raise ValueError(f"samples must be a flat array, got shape {samples.shape}")
-        counts, _ = np.histogram(samples, bins=self.edges)
-        return counts / samples.shape[0]
+def grid_masses(target: GibbsTarget, bounds, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell edges and normalized cell masses of a 1-D target: exp(-lam * L)
+    at the centers of resolution cells on bounds = (lo, hi), normalized by a
+    max-shifted log-sum-exp."""
+    if target.dim != 1:
+        raise ValueError(f"grids support 1-D targets only, got dim {target.dim}")
+    lo, hi = bounds
+    edges = np.linspace(lo, hi, resolution + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    logs = np.array([target.log_unnorm(np.array([c])) for c in centers])
+    shift = logs.max()
+    return edges, np.exp(logs - (shift + np.log(np.exp(logs - shift).sum())))
 
 
-def tv_distance(empirical: np.ndarray, target: GridDensity) -> float:
-    """Half the L1 distance between empirical cell masses and the target."""
-    empirical = np.asarray(empirical, dtype=float)
-    if empirical.shape != target.log_mass.shape:
-        raise ValueError(
-            f"grid mismatch: empirical {empirical.shape} vs target {target.log_mass.shape}"
-        )
-    return 0.5 * float(np.abs(empirical - target.masses).sum())
-
-
-def tv_to_target(samples: np.ndarray, target: GridDensity, min_samples: int = 1000) -> float:
-    """Bin samples on the target's grid and return the TV distance."""
+def tv_trace(samples: np.ndarray, grid, checkpoints) -> list[tuple[int, float]]:
+    """TV distance between the grid = (edges, masses) and the empirical cell
+    masses of samples[:k], at each checkpoint k.  Counts are divided by the
+    number of samples taken, so samples outside the grid lose their mass."""
+    edges, masses = grid
+    if masses.size != edges.size - 1:
+        raise ValueError(f"grid mismatch: {masses.size} masses for {edges.size} edges")
     samples = np.asarray(samples, dtype=float)
-    n = samples.shape[0]
-    if n < min_samples:
-        raise ValueError(f"need at least {min_samples} samples, got {n}")
-    return tv_distance(target.histogram_masses(samples), target)
+    if samples.ndim != 1:
+        raise ValueError(f"samples must be a flat array, got shape {samples.shape}")
+    rows = []
+    for k in checkpoints:
+        taken = samples[: int(k)]
+        if taken.size < 2:
+            raise ValueError(f"need at least 2 samples, got {taken.size} at checkpoint {k}")
+        counts, _ = np.histogram(taken, bins=edges)
+        rows.append((int(k), 0.5 * float(np.abs(counts / taken.size - masses).sum())))
+    return rows
 
 
 def truncated_gaussian_variance(lam: float, half_width: float) -> float:
@@ -122,15 +102,6 @@ def banana_variance(lam: float, curvature: float) -> np.ndarray:
     """
     s_sq = 0.5 / lam
     return np.array([s_sq, 4.0 * s_sq + 2.0 * s_sq * s_sq + 0.5 / (lam * curvature)])
-
-
-def tv_trace(samples: np.ndarray, target: GridDensity, checkpoints) -> list[tuple[int, float]]:
-    """TV distance of the empirical distribution up to each checkpoint step."""
-    samples = np.asarray(samples, dtype=float)
-    rows = []
-    for k in checkpoints:
-        rows.append((int(k), tv_to_target(samples[: int(k)], target, min_samples=2)))
-    return rows
 
 
 # ---------------------------------------------------------------------------

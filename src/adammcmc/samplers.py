@@ -141,9 +141,7 @@ class ChainState:
     @classmethod
     def init(cls, theta0: np.ndarray, rng) -> "ChainState":
         theta0 = np.asarray(theta0, dtype=float)
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        return cls(theta0.copy(), Momenta.zeros(theta0.size), 0, None, rng)
+        return cls(theta0.copy(), Momenta.zeros(theta0.size), 0, None, np.random.default_rng(rng))
 
 
 @dataclass(frozen=True)
@@ -151,7 +149,6 @@ class StepInfo:
     """Per-step log payload: what happened and at what acceptance level."""
 
     accepted: bool
-    alpha: float
     log_alpha: float
     loss: float
     u_norm: float
@@ -267,10 +264,7 @@ def _accept_or_stay(
     accepted = bool(np.log(state.rng.uniform()) <= log_alpha)
     new_theta, new = (tau, prop) if accepted else (state.theta, cur)
     new_state = ChainState(new_theta, momenta, state.step + 1, new, state.rng)
-    info = StepInfo(
-        accepted, float(np.exp(log_alpha)), float(log_alpha), float(new.loss),
-        u_norm, prop.inside,
-    )
+    info = StepInfo(accepted, float(log_alpha), float(new.loss), u_norm, prop.inside)
     return new_state, info
 
 
@@ -414,7 +408,7 @@ def _optimizer_step(state: ChainState, oracle: LossOracle, batch, move):
     loss, grad_fn = oracle.evaluate(state.theta, batch)
     delta, momenta = move(grad_fn())
     new_state = ChainState(state.theta + delta, momenta, state.step + 1, None, state.rng)
-    return new_state, StepInfo(True, 1.0, 0.0, float(loss), _safe_norm(delta))
+    return new_state, StepInfo(True, 0.0, float(loss), _safe_norm(delta))
 
 
 def adam_step(state: ChainState, oracle: LossOracle, ap: AdamParams, batch=None):

@@ -17,9 +17,9 @@ from . import cli
 from .chain import ChainSchedule, ensemble_predict, run_chain
 from .config import RunConfig
 from .diagnostics import (
-    GridDensity,
     compare_full_vs_stochastic_mh,
     detailed_balance_violations,
+    grid_masses,
     truncated_gaussian_variance,
     tv_trace,
 )
@@ -208,7 +208,7 @@ def criterion_posterior_moments():
 
 def criterion_tv_convergence():
     target = quadratic_target(1, lam=1.0, half_width=10.0)
-    grid = GridDensity.from_target(target, bounds=(-5.0, 5.0), resolution=32)
+    grid = grid_masses(target, bounds=(-5.0, 5.0), resolution=32)
     ap = AdamParams(gamma=1e-3, beta1=0.99, beta2=0.99)
     pp = ProposalParams(sigma=0.5, sigma_dir=5.0)
     summary, _ = _adammcmc_chain(
@@ -258,6 +258,19 @@ def criterion_mala_equivalence():
 # ---------------------------------------------------------------------------
 
 
+def _rank_correlation(x, y) -> float:
+    """Spearman's rank correlation: the Pearson correlation of average ranks,
+    where tied entries share the mean of the positions they span."""
+
+    def ranks(v):
+        v = np.asarray(v, dtype=float)
+        below = (v[:, None] > v).sum(axis=1)
+        tied = (v[:, None] == v).sum(axis=1)
+        return below + 0.5 * (tied + 1)
+
+    return float(np.corrcoef(ranks(x), ranks(y))[0, 1])
+
+
 def criterion_acceptance_trends():
     net = MicroMlp()
     x, y, _, _ = two_moons()
@@ -277,12 +290,7 @@ def criterion_acceptance_trends():
     peak = int(np.argmax(acc_dir))
     collapse = peak < len(dir_grid) - 1 and acc_dir[-1] < 0.5 * acc_dir[peak]
     rising = acc_dir[: peak + 1]
-    if len(rising) >= 3:
-        from scipy.stats import spearmanr  # kept off the import path of the sampler
-
-        rho = float(spearmanr(dir_grid[: peak + 1], rising).statistic)
-    else:
-        rho = 1.0 if len(rising) == 2 and rising[1] > rising[0] else 0.0
+    rho = _rank_correlation(dir_grid[: peak + 1], rising) if len(rising) >= 2 else 0.0
     trend_a = rho > 0.8 and collapse
 
     # (b) without directional noise: interior acceptance maximum in sigma;

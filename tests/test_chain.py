@@ -27,7 +27,7 @@ def make_stub_step(thetas=None, accept=True):
         else:
             theta = state.theta
         new = ChainState(theta, state.momenta, k + 1, None, state.rng)
-        info = StepInfo(accept, 1.0, 0.0, float(k), 0.0)
+        info = StepInfo(accept, 0.0, float(k), 0.0)
         return new, info
 
     return step

@@ -1,93 +1,119 @@
-"""Grid densities, TV distance, detailed balance, scans and MH comparison."""
+"""Grid masses, TV traces, detailed balance, scans and MH comparison."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adammcmc.config import ConfigError, RunConfig
 from adammcmc.diagnostics import (
-    GridDensity,
     MhComparison,
     apply_scan_value,
     banana_variance,
     compare_full_vs_stochastic_mh,
     detailed_balance_violations,
+    grid_masses,
     scan_acceptance,
     truncated_gaussian_variance,
-    tv_distance,
-    tv_to_target,
+    tv_trace,
 )
 from adammcmc.experiments import run_experiment
 from adammcmc.losses import quadratic_target
 from adammcmc.samplers import AdamParams, CorrectionParams, ProposalParams
 
 
+class CellValues:
+    """A 1-D stand-in target whose log density in cell k of the grid on
+    (0, len(logs)) is logs[k]."""
+
+    dim = 1
+
+    def __init__(self, logs):
+        self.logs = logs
+
+    def log_unnorm(self, theta):
+        return self.logs[int(theta[0])]
+
+
 class TestGridDensity:
     def test_masses_normalized_1d(self):
-        grid = GridDensity.from_target(
-            quadratic_target(1), bounds=(-4, 4), resolution=64
-        )
-        assert grid.masses.sum() == pytest.approx(1.0, abs=1e-10)
+        _, masses = grid_masses(quadratic_target(1), bounds=(-4, 4), resolution=64)
+        assert masses.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_high_dimensions(self):
         with pytest.raises(ValueError):
-            GridDensity.from_target(
-                quadratic_target(2), bounds=(-1, 1), resolution=4
-            )
+            grid_masses(quadratic_target(2), bounds=(-1, 1), resolution=4)
 
     def test_gaussian_shape(self):
         # masses should integrate the standard normal over each cell
-        grid = GridDensity.from_target(
+        edges, masses = grid_masses(
             quadratic_target(1, half_width=50.0), bounds=(-6, 6), resolution=120
         )
         from scipy.stats import norm
 
-        edges = grid.edges
         expect = norm.cdf(edges[1:]) - norm.cdf(edges[:-1])
         # midpoint rule vs exact cell integral: O(h^2) discretization error
-        np.testing.assert_allclose(grid.masses, expect / expect.sum(), atol=5e-5)
+        np.testing.assert_allclose(masses, expect / expect.sum(), atol=5e-5)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=64))
+    def test_matches_scipy_logsumexp(self, logs):
+        # the numpy log-sum-exp may differ from scipy's in the last bits only
+        from scipy.special import logsumexp
+
+        logs = np.array(logs)
+        edges, masses = grid_masses(CellValues(logs), bounds=(0, logs.size), resolution=logs.size)
+        np.testing.assert_array_equal(edges, np.arange(logs.size + 1.0))
+        np.testing.assert_allclose(masses, np.exp(logs - logsumexp(logs)), rtol=0, atol=1e-14)
 
 
 class TestTvDistance:
     def test_identical_distributions(self):
-        grid = GridDensity.from_target(
-            quadratic_target(1), bounds=(-4, 4), resolution=32
-        )
-        assert tv_distance(grid.masses, grid) == pytest.approx(0.0, abs=1e-14)
+        # near-uniform masses, one sample at each cell center
+        edges, masses = grid_masses(quadratic_target(1, lam=1e-12), bounds=(-4, 4), resolution=32)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        [(k, tv)] = tv_trace(centers, (edges, masses), [32])
+        assert k == 32
+        assert tv == pytest.approx(0.0, abs=1e-10)
 
     def test_disjoint_supports(self):
-        grid = GridDensity.from_target(
-            quadratic_target(1), bounds=(-4, 4), resolution=32
-        )
-        empirical = np.zeros(32)
-        assert tv_distance(empirical, grid) == pytest.approx(0.5)
-        empirical[0] = 1.0  # all mass in a cell with ~zero target mass
-        assert tv_distance(empirical, grid) == pytest.approx(1.0, abs=1e-4)
+        edges, masses = grid_masses(quadratic_target(1), bounds=(-4, 4), resolution=32)
+        out_of_range = np.full(10, 100.0)  # samples off the grid lose their mass
+        assert tv_trace(out_of_range, (edges, masses), [10])[0][1] == pytest.approx(0.5)
+        in_cell_0 = np.full(10, edges[0])  # all mass in a cell with ~zero target mass
+        assert tv_trace(in_cell_0, (edges, masses), [10])[0][1] == pytest.approx(1.0, abs=1e-4)
 
     def test_grid_mismatch(self):
-        grid = GridDensity.from_target(
-            quadratic_target(1), bounds=(-4, 4), resolution=32
-        )
+        edges, masses = grid_masses(quadratic_target(1), bounds=(-4, 4), resolution=32)
         with pytest.raises(ValueError):
-            tv_distance(np.zeros(16), grid)
+            tv_trace(np.zeros(10), (edges, masses[:16]), [10])
+
+    def test_non_flat_samples_rejected(self):
+        grid = grid_masses(quadratic_target(1), bounds=(-4, 4), resolution=32)
+        with pytest.raises(ValueError):
+            tv_trace(np.zeros((10, 1)), grid, [10])
 
     def test_iid_rejection_sampler_floor(self):
         # exact i.i.d. draws from the 1D truncated Gaussian: the TV against
         # its own grid is just binning + Monte Carlo noise, below 0.02
         target = quadratic_target(1, lam=1.0, half_width=1.0)
-        grid = GridDensity.from_target(target, bounds=(-1, 1), resolution=40)
+        grid = grid_masses(target, bounds=(-1, 1), resolution=40)
         rng = np.random.default_rng(4)
         draws = []
         while len(draws) < 100_000:
             cand = rng.standard_normal(50_000)
             draws.extend(cand[np.abs(cand) <= 1.0].tolist())
         samples = np.array(draws[:100_000])
-        assert tv_to_target(samples, grid) < 0.02
+        assert tv_trace(samples, grid, [100_000])[0][1] < 0.02
 
     def test_minimum_sample_count_enforced(self):
-        target = quadratic_target(1)
-        grid = GridDensity.from_target(target, bounds=(-4, 4), resolution=16)
+        # every checkpoint needs at least 2 samples taken
+        grid = grid_masses(quadratic_target(1), bounds=(-4, 4), resolution=16)
+        assert [k for k, _ in tv_trace(np.zeros(10), grid, [2, 10])] == [2, 10]
         with pytest.raises(ValueError):
-            tv_to_target(np.zeros(10), grid)
+            tv_trace(np.zeros(10), grid, [1, 10])
+        with pytest.raises(ValueError):
+            tv_trace(np.zeros(1), grid, [5])
 
 
 class TestTruncatedGaussianVariance:

@@ -1,7 +1,9 @@
-"""The sampler's import, run, scan (on every analytic target) and
-compare-mh paths load numpy only, never scipy, and a serial scan never
-loads the process pool."""
+"""No module of the package imports scipy; the sampler's import, run, scan
+(on every analytic target) and compare-mh paths load numpy only, criteria
+5 and 7 compute with scipy's import blocked, and a serial scan never loads
+the process pool."""
 
+import ast
 import json
 import os
 import subprocess
@@ -47,18 +49,75 @@ PROGRAM = textwrap.dedent(
 )
 
 
-@pytest.fixture(scope="module")
-def loaded_modules(tmp_path_factory):
-    """Every module the program above leaves in sys.modules."""
+NO_SCIPY_PROGRAM = textwrap.dedent(
+    """
+    import sys
+
+    class NoScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name == "scipy" or name.startswith("scipy."):
+                raise ImportError(f"{name} is blocked")
+
+    sys.meta_path.insert(0, NoScipy())
+    try:
+        import scipy
+    except ImportError:
+        pass
+    else:
+        sys.exit("the scipy blocker did not block")
+
+    import numpy as np
+    from adammcmc import verify
+    from adammcmc.diagnostics import grid_masses, tv_trace
+    from adammcmc.losses import quadratic_target
+
+    grid = grid_masses(quadratic_target(1), bounds=(-4.0, 4.0), resolution=16)
+    samples = np.random.default_rng(0).standard_normal(200)
+    rows = tv_trace(samples, grid, [100, 200])
+    assert [k for k, _ in rows] == [100, 200] and all(0 < tv < 1 for _, tv in rows), rows
+    rho = verify._rank_correlation([0.0, 10.0, 100.0], [0.1, 0.3, 0.2])
+    assert abs(rho - 0.5) < 1e-12, rho
+    """
+)
+
+
+def run_program(program, cwd):
+    """Run program in a fresh interpreter that imports this source tree."""
     src = str(Path(adammcmc.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROGRAM], capture_output=True, text=True, env=env,
-        cwd=tmp_path_factory.mktemp("hygiene"), timeout=120,
+        [sys.executable, "-c", program], capture_output=True, text=True, env=env,
+        cwd=cwd, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return proc.stdout
+
+
+@pytest.fixture(scope="module")
+def loaded_modules(tmp_path_factory):
+    """Every module the program above leaves in sys.modules."""
+    stdout = run_program(PROGRAM, tmp_path_factory.mktemp("hygiene"))
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
+def test_no_package_module_imports_scipy():
+    found = []
+    for path in sorted(Path(adammcmc.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name == "scipy" or name.startswith("scipy.")]
+    assert found == []
+
+
+def test_grid_tv_and_rank_correlation_run_without_scipy(tmp_path):
+    run_program(NO_SCIPY_PROGRAM, tmp_path)
 
 
 def test_sampler_paths_never_import_scipy(loaded_modules):

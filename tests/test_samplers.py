@@ -199,7 +199,7 @@ class TestMalaStep:
         state = ChainState.init(np.array([0.3, -0.7]), 0)
         state.rng = StubRng(np.zeros(2))
         new, info = mala_step(state, target, gamma=0.0, sigma=0.5)
-        assert info.alpha == 1.0
+        assert info.log_alpha == 0.0
         assert info.accepted
         np.testing.assert_array_equal(new.theta, state.theta)
 
@@ -208,7 +208,7 @@ class TestMalaStep:
         state = ChainState.init(np.array([0.4, 0.0]), 0)
         state.rng = StubRng(np.array([10.0, 0.0]), uniform_value=1e-300)
         new, info = mala_step(state, target, gamma=0.0, sigma=1.0)
-        assert info.alpha == 0.0
+        assert info.log_alpha == -np.inf
         assert not info.accepted
         assert not info.proposal_in_prior
         np.testing.assert_array_equal(new.theta, np.array([0.4, 0.0]))
@@ -269,7 +269,7 @@ class TestAdamMcmcStep:
         state = ChainState.init(theta0, 0)
         state.rng = StubRng(u / pp.sigma, normal_scalar=0.0)
         new, info = adammcmc_step(state, target, ap, pp)
-        assert info.alpha == 1.0
+        assert info.log_alpha == 0.0
         assert info.accepted
         np.testing.assert_allclose(new.theta, theta0, atol=1e-15)
 
@@ -315,7 +315,7 @@ class TestAdamMcmcStep:
         state = ChainState.init(np.array([1.0, 2.0, -1.0]), 13)
         for _ in range(300):
             state, info = adammcmc_step(state, target, ap, pp, cp)
-            assert 0.0 <= info.alpha <= 1.0
+            assert info.log_alpha <= 0.0
             assert not np.isnan(info.log_alpha)
 
     def test_nonfinite_proposal_loss_rejected(self):
@@ -334,7 +334,7 @@ class TestAdamMcmcStep:
         pp = ProposalParams(sigma=1.0, sigma_dir=0.0)
         new, info = adammcmc_step(state, target, ap, pp)
         assert not info.accepted
-        assert info.alpha == 0.0
+        assert info.log_alpha == -np.inf
         np.testing.assert_array_equal(new.theta, np.array([0.9]))
 
     def test_zero_over_zero_rejects(self):
@@ -346,7 +346,7 @@ class TestAdamMcmcStep:
             state, target, AdamParams(), ProposalParams(sigma=1.0)
         )
         assert not info.accepted
-        assert info.alpha == 0.0
+        assert info.log_alpha == -np.inf
 
     def test_degenerate_config_equals_mala_bitwise(self):
         # drift="gradient", sigma_dir=0 must reproduce mala_step decisions
@@ -412,6 +412,21 @@ class TestAdamMcmcStep:
             s2, i2 = adammcmc_step(s2, target, ap, pp, batch=np.arange(n))
             np.testing.assert_array_equal(s1.theta, s2.theta)
             assert i1.log_alpha == i2.log_alpha
+
+    def test_seed_and_generator_start_identical_chains(self):
+        # init keeps a Generator it is given and seeds a new one from a seed
+        target = quadratic_target(2)
+        ap = AdamParams(gamma=0.01, beta1=0.5, beta2=0.5)
+        pp = ProposalParams(sigma=0.5, sigma_dir=1.0)
+        rng = np.random.default_rng(9)
+        from_rng = ChainState.init(np.array([1.0, -1.0]), rng)
+        assert from_rng.rng is rng
+        from_seed = ChainState.init(np.array([1.0, -1.0]), 9)
+        for _ in range(50):
+            from_rng, info_rng = adammcmc_step(from_rng, target, ap, pp)
+            from_seed, info_seed = adammcmc_step(from_seed, target, ap, pp)
+            np.testing.assert_array_equal(from_rng.theta, from_seed.theta)
+            assert info_rng == info_seed
 
 
 class TestCorrectionTerm:
