@@ -47,9 +47,9 @@ class RunConfig:
     """Flat experiment configuration.  Every field has a default.
 
     sigma_dir = None resolves to dim/100 at build time (so the directional
-    default scales with the parameter count); rho1 and rho2 are set together,
-    and when both are None they derive from s_sq as
-    rho_l^2 = (1 - beta_l^2) * s_sq.
+    default scales with the parameter count).  The full correction's
+    momentum variances are s_l^2 = rho_l^2 / (1 - beta_l^2) when rho1 and
+    rho2 are set (they are set together), and both s_sq otherwise.
     """
 
     target: str = "quadratic"

@@ -134,16 +134,15 @@ def _log_invariant_density(
     target: GibbsTarget,
     theta: np.ndarray,
     m: Momenta,
-    ap: AdamParams,
     cp: CorrectionParams,
 ) -> float:
     """Stationary density of the augmented (theta, momenta) chain:
     tempered target times Gaussian momentum factors centered at the gradient
-    and its square, with variances s_l^2 = rho_l^2 / (1 - beta_l^2)."""
+    and its square, with cp's variances s_1^2, s_2^2."""
     grad = target.oracle.grad(theta)
     value = target.log_unnorm(theta)
-    value += _iso_gaussian_logpdf(m.m1, grad, cp.s_sq(1, ap))
-    value += _iso_gaussian_logpdf(m.m2, grad**2, cp.s_sq(2, ap))
+    value += _iso_gaussian_logpdf(m.m1, grad, cp.s1_sq)
+    value += _iso_gaussian_logpdf(m.m2, grad**2, cp.s2_sq)
     return value
 
 
@@ -151,7 +150,7 @@ def detailed_balance_violations(
     target: GibbsTarget,
     ap: AdamParams,
     pp: ProposalParams,
-    cp: CorrectionParams,
+    cp: CorrectionParams | None,
     n_trials: int,
     rng: np.random.Generator,
     density_cp: CorrectionParams | None = None,
@@ -164,15 +163,13 @@ def detailed_balance_violations(
     while q1 and f are evaluated with dense linear algebra, so a bug in the
     rank-one determinant/inverse shows up instead of cancelling.  density_cp
     pins the momentum variances of the invariant density f (and of the trial
-    draws) independently of the acceptance mode, which makes unit-vs-full
-    comparisons on identical trials possible; it defaults to cp in full mode.
+    draws) independently of the acceptance's correction cp, which makes
+    unit-vs-full comparisons on identical trials possible; it defaults to cp.
+    f needs variances, so the two cannot both be None (the unit correction).
     """
-    if density_cp is not None:
-        cp_density = density_cp
-    elif cp.mode == "full":
-        cp_density = cp
-    else:
-        cp_density = CorrectionParams.full_from_s2(1e-4, ap)  # f needs variances
+    cp_density = density_cp or cp
+    if cp_density is None:
+        raise ValueError("the invariant density needs momentum variances: pass a cp or density_cp")
     dim = target.dim
     out = np.empty(n_trials)
     for trial in range(n_trials):
@@ -180,8 +177,8 @@ def detailed_balance_violations(
         tau = BALANCE_POINT_SCALE * rng.standard_normal(dim)
         grad = target.oracle.grad(theta)
         m_tilde = Momenta(
-            grad + np.sqrt(cp_density.s_sq(1, ap)) * rng.standard_normal(dim),
-            grad**2 + np.sqrt(cp_density.s_sq(2, ap)) * rng.standard_normal(dim),
+            grad + np.sqrt(cp_density.s1_sq) * rng.standard_normal(dim),
+            grad**2 + np.sqrt(cp_density.s2_sq) * rng.standard_normal(dim),
         )
         u = adam_update_vector(m_tilde, BALANCE_STEP, ap)
         cov = pp.sigma**2 * np.eye(dim) + pp.sigma_dir**2 * np.outer(u, u)
@@ -190,8 +187,8 @@ def detailed_balance_violations(
         log_alpha_bwd = adammcmc_log_alpha(target, tau, theta, m_tilde, BALANCE_STEP, ap, pp, cp)
         log_q_fwd = _dense_gaussian_logpdf(tau, theta - u, cov)
         log_q_bwd = _dense_gaussian_logpdf(theta, tau - u, cov)
-        log_f_theta = _log_invariant_density(target, theta, m_tilde, ap, cp_density)
-        log_f_tau = _log_invariant_density(target, tau, m_tilde, ap, cp_density)
+        log_f_theta = _log_invariant_density(target, theta, m_tilde, cp_density)
+        log_f_tau = _log_invariant_density(target, tau, m_tilde, cp_density)
 
         lhs = log_alpha_fwd + log_q_fwd + log_f_theta
         rhs = log_alpha_bwd + log_q_bwd + log_f_tau

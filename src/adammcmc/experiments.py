@@ -71,12 +71,16 @@ def resolve_sigma_dir(config: RunConfig, dim: int) -> float:
     return dim / 100.0
 
 
-def correction_params(config: RunConfig, ap: AdamParams) -> CorrectionParams:
+def correction_params(config: RunConfig) -> CorrectionParams | None:
+    """The momentum variances of the full correction, None for the unit one:
+    s_l^2 = rho_l^2 / (1 - beta_l^2) when rho1, rho2 are set, else s_sq."""
     if config.correction == "unit":
-        return CorrectionParams.unit()
-    if config.rho1 is not None:  # validate sets rho1 and rho2 together
-        return CorrectionParams(mode="full", rho1=config.rho1, rho2=config.rho2)
-    return CorrectionParams.full_from_s2(config.s_sq, ap)
+        return None
+    if config.rho1 is None:  # validate sets rho1 and rho2 together
+        return CorrectionParams(config.s_sq, config.s_sq)
+    return CorrectionParams(
+        config.rho1**2 / (1.0 - config.beta1**2), config.rho2**2 / (1.0 - config.beta2**2)
+    )
 
 
 def build_experiment(config: RunConfig) -> Experiment:
@@ -140,7 +144,7 @@ def make_step_fn(experiment: Experiment, batches: BatchStream):
     oracle = target.oracle
     ap = AdamParams(cfg.gamma, cfg.beta1, cfg.beta2, cfg.delta)
     pp = ProposalParams(cfg.sigma, experiment.sigma_dir)
-    cp = correction_params(cfg, ap)
+    cp = correction_params(cfg)
 
     if cfg.sampler == "adammcmc":
 

@@ -37,9 +37,8 @@ class ProlateCovariance:
     """Implicit covariance sigma^2 I_P + sigma_dir^2 d d^T.
 
     sigma_dir = 0 is a valid mode and reduces every operation to the
-    isotropic case.  The covariance is frozen, so |d| (kept as `norm`) and
-    the rank-one shrink factor are computed once, at construction, and the
-    log determinant on the first log_det() call.
+    isotropic case.  The covariance is frozen, so |d| (kept as `norm`) is
+    computed once, at construction.
     """
 
     sigma: float
@@ -54,18 +53,8 @@ class ProlateCovariance:
         d = np.asarray(self.direction, dtype=float)
         if d.ndim != 1:
             raise ValueError("direction must be a flat vector")
-        norm = _safe_norm(d)
-        # shrink = t / (1 + t) with t = (sigma_dir |d| / sigma)^2 is 0 without
-        # a stretch and 1 past the overflow edge of t
-        shrink = 0.0
-        if self.sigma_dir != 0.0 and norm != 0.0:
-            r = self.sigma_dir * norm / self.sigma
-            # float ** raises OverflowError past r ~ 1.3e154; from r = 1e150
-            # on, 1/t is below the resolution of 1.0 and shrink is 1 anyway
-            t = r**2 if r < 1e150 else np.inf
-            shrink = 1.0 / (1.0 + 1.0 / t) if t > 0.0 else 0.0
         # frozen: bypass __setattr__
-        self.__dict__.update(direction=d, norm=norm, _log_det=None, _shrink=shrink)
+        self.__dict__.update(direction=d, norm=_safe_norm(d))
 
     @property
     def dim(self) -> int:
@@ -75,13 +64,11 @@ class ProlateCovariance:
         """Log determinant via the rank-one determinant identity,
         2 P log(sigma) + log(1 + t), the log(1 + t) term assembled in log
         space so that a huge |d| cannot overflow it."""
-        if self._log_det is None:
-            log_det = 2.0 * self.dim * np.log(self.sigma)
-            if self.sigma_dir != 0.0 and self.norm != 0.0:
-                log_r = 2.0 * (np.log(self.sigma_dir) + np.log(self.norm) - np.log(self.sigma))
-                log_det = log_det + np.logaddexp(0.0, log_r)
-            self.__dict__["_log_det"] = float(log_det)
-        return self._log_det
+        log_det = 2.0 * self.dim * np.log(self.sigma)
+        if self.sigma_dir != 0.0 and self.norm != 0.0:
+            log_r = 2.0 * (np.log(self.sigma_dir) + np.log(self.norm) - np.log(self.sigma))
+            log_det = log_det + np.logaddexp(0.0, log_r)
+        return float(log_det)
 
     def log_reverse_ratio(self, x: np.ndarray) -> float:
         """log N(theta; tau - d, Sigma) - log N(tau; theta - d, Sigma) at
@@ -113,20 +100,29 @@ class ProlateCovariance:
                 f"dimension mismatch: x has shape {x.shape}, "
                 f"direction has shape {self.direction.shape}"
             )
+        # shrink = t / (1 + t) with t = (sigma_dir |d| / sigma)^2 is 0 without
+        # a stretch and 1 past the overflow edge of t
+        shrink = 0.0
+        if self.sigma_dir != 0.0 and self.norm != 0.0:
+            r = self.sigma_dir * self.norm / self.sigma
+            # float ** raises OverflowError past r ~ 1.3e154; from r = 1e150
+            # on, 1/t is below the resolution of 1.0 and shrink is 1 anyway
+            t = r**2 if r < 1e150 else np.inf
+            shrink = 1.0 / (1.0 + 1.0 / t) if t > 0.0 else 0.0
         xx = float(x @ x)
-        dx = float(self.direction @ x) if self._shrink else 0.0
+        dx = float(self.direction @ x) if shrink else 0.0
         if not (math.isfinite(xx) and math.isfinite(dx)):
             m = float(np.max(np.abs(x)))
             if 0.0 < m < math.inf:
-                return self._rescaled_form(x / m, m)
+                return self._rescaled_form(x / m, m, shrink)
         s2 = self.sigma * self.sigma
         iso = xx / s2
-        if self._shrink == 0.0:
+        if shrink == 0.0:
             return iso
         cos_comp = dx / self.norm
-        return iso - (cos_comp * cos_comp / s2) * self._shrink
+        return iso - (cos_comp * cos_comp / s2) * shrink
 
-    def _rescaled_form(self, xs: np.ndarray, m: float) -> float:
+    def _rescaled_form(self, xs: np.ndarray, m: float, shrink: float) -> float:
         """The form of x = m * xs (max |xs| = 1) when x's squares overflow.
 
         |x_perp|^2 / sigma^2 + <d_hat, x>^2 / (sigma^2 + sigma_dir^2 |d|^2),
@@ -135,7 +131,7 @@ class ProlateCovariance:
         the offset across d.
         """
         along = 0.0
-        if self._shrink:
+        if shrink:
             d_hat = self.direction / self.norm
             along = float(d_hat @ xs)
             xs = xs - along * d_hat

@@ -55,45 +55,16 @@ class ProposalParams:
 
 @dataclass(frozen=True)
 class CorrectionParams:
-    """Momentum-density correction of the acceptance ratio.
+    """Variances s_1^2, s_2^2 of the momentum densities, which the full
+    momentum-density correction of the acceptance needs; None in their place
+    is the unit correction (factor 1), the practical algorithm."""
 
-    mode "unit" sets the correction factor to 1 (the practical algorithm);
-    mode "full" evaluates the momentum-density ratio with noise levels rho1,
-    rho2.  The reference parameterization rho_l^2 = (1 - beta_l^2) * s^2 is
-    available through full_from_s2.
-    """
-
-    mode: str = "unit"
-    rho1: float = 0.0
-    rho2: float = 0.0
+    s1_sq: float
+    s2_sq: float
 
     def __post_init__(self):
-        if self.mode not in ("unit", "full"):
-            raise ValueError(f"mode must be 'unit' or 'full', got {self.mode!r}")
-        if self.mode == "full" and not (self.rho1 > 0.0 and self.rho2 > 0.0):
-            raise ValueError("full mode needs positive rho1, rho2")
-
-    @classmethod
-    def unit(cls) -> "CorrectionParams":
-        return cls(mode="unit")
-
-    @classmethod
-    def full_from_s2(cls, s_sq: float, ap: AdamParams) -> "CorrectionParams":
-        if not s_sq > 0.0:
-            raise ValueError(f"s_sq must be positive, got {s_sq}")
-        return cls(
-            mode="full",
-            rho1=float(np.sqrt((1.0 - ap.beta1**2) * s_sq)),
-            rho2=float(np.sqrt((1.0 - ap.beta2**2) * s_sq)),
-        )
-
-    def s_sq(self, which: int, ap: AdamParams) -> float:
-        """Variance rho_l^2 / (1 - beta_l^2) of the momentum density, l in {1, 2}."""
-        if which == 1:
-            return self.rho1**2 / (1.0 - ap.beta1**2)
-        if which == 2:
-            return self.rho2**2 / (1.0 - ap.beta2**2)
-        raise ValueError(f"which must be 1 or 2, got {which}")
+        if not (self.s1_sq > 0.0 and self.s2_sq > 0.0):
+            raise ValueError(f"s1_sq, s2_sq must be positive, got {self.s1_sq}, {self.s2_sq}")
 
 
 @dataclass(frozen=True)
@@ -182,19 +153,14 @@ def log_correction(
     grad_theta: np.ndarray,
     grad_tau: np.ndarray,
     cp: CorrectionParams,
-    ap: AdamParams,
 ) -> float:
     """Log of the momentum-density acceptance correction.
 
     sum over l of (|m_l - g(theta)^l|^2 - |m_l - g(tau)^l|^2) / (2 s_l^2)
-    with g^1 the gradient, g^2 its elementwise square, and
-    s_l^2 = rho_l^2 / (1 - beta_l^2).  Zero in unit mode.
+    with g^1 the gradient and g^2 its elementwise square.
     """
-    if cp.mode == "unit":
-        return 0.0
     total = 0.0
-    for which, m_l, power in ((1, m_next.m1, 1), (2, m_next.m2, 2)):
-        s_sq = cp.s_sq(which, ap)
+    for m_l, power, s_sq in ((m_next.m1, 1, cp.s1_sq), (m_next.m2, 2, cp.s2_sq)):
         d_tau = m_l - grad_tau**power
         d_theta = m_l - grad_theta**power
         total += (float(d_theta @ d_theta) - float(d_tau @ d_tau)) / (2.0 * s_sq)
@@ -307,7 +273,7 @@ def adammcmc_step(
     target: GibbsTarget,
     ap: AdamParams,
     pp: ProposalParams,
-    cp: CorrectionParams = CorrectionParams(),
+    cp: CorrectionParams | None = None,
     batch=None,
     drift: str = "adam",
 ):
@@ -317,7 +283,8 @@ def adammcmc_step(
     gradient, the update vector u centers the proposal at theta - u and
     stretches its covariance along u, and the backward density reuses the
     same u and covariance.  Momenta advance whether or not the proposal is
-    accepted.
+    accepted.  cp holds the momentum variances of the full correction; None
+    is the unit correction.
 
     drift "gradient" drops the momenta from the geometry: the offset and
     stretch direction are gamma * grad, recomputed at each density's own
@@ -340,17 +307,15 @@ def adammcmc_step(
         with np.errstate(invalid="ignore", over="ignore"):
             prop = _evaluate(target, tau, batch)
             cov_bwd = ProlateCovariance(pp.sigma, pp.sigma_dir, ap.gamma * prop.grad())
-        cp = CorrectionParams.unit()
-    log_alpha = _adam_log_alpha(
-        target.lam, cov_fwd, cov_bwd, theta, tau, cur, prop, m_next, ap, cp
-    )
+        cp = None
+    log_alpha = _adam_log_alpha(target.lam, cov_fwd, cov_bwd, theta, tau, cur, prop, m_next, cp)
     return _accept_or_stay(state, tau, cur, prop, m_next, log_alpha, cov_fwd.norm)
 
 
 def _adam_log_alpha(
     lam: float, cov_fwd: ProlateCovariance, cov_bwd: ProlateCovariance,
     theta: np.ndarray, tau: np.ndarray, cur: Evaluation, prop: Evaluation,
-    m_next: Momenta, ap: AdamParams, cp: CorrectionParams,
+    m_next: Momenta, cp: CorrectionParams | None,
 ) -> float:
     """Log acceptance of the move theta -> tau, for both drifts.
 
@@ -360,7 +325,7 @@ def _adam_log_alpha(
     backward around tau - u_bwd.  The adam drift passes one covariance
     twice, and then the density ratio is the covariance's closed form; only
     their difference enters, so it goes in as log_bwd against log_fwd = 0.
-    The gradients are taken only in full correction mode.
+    The gradients are taken only for the full correction (cp not None).
     """
     if cov_bwd is cov_fwd:
         log_fwd, log_bwd = 0.0, cov_fwd.log_reverse_ratio(tau - theta)
@@ -369,9 +334,9 @@ def _adam_log_alpha(
         with np.errstate(invalid="ignore", over="ignore"):
             log_bwd = cov_bwd.log_density(tau - cov_bwd.direction, theta)
     log_c = 0.0
-    if cp.mode == "full":
+    if cp is not None:
         with np.errstate(invalid="ignore", over="ignore"):
-            log_c = log_correction(m_next, cur.grad(), prop.grad(), cp, ap)
+            log_c = log_correction(m_next, cur.grad(), prop.grad(), cp)
     return _finish_log_alpha(
         lam, cur.loss, prop.loss, cur.inside, prop.inside, log_fwd, log_bwd, log_c
     )
@@ -385,7 +350,7 @@ def adammcmc_log_alpha(
     k: int,
     ap: AdamParams,
     pp: ProposalParams,
-    cp: CorrectionParams,
+    cp: CorrectionParams | None,
 ) -> float:
     """Log acceptance for proposing tau from (theta, m_next) at step k.
 
@@ -397,7 +362,7 @@ def adammcmc_log_alpha(
     cov = ProlateCovariance(pp.sigma, pp.sigma_dir, adam_update_vector(m_next, k, ap))
     return _adam_log_alpha(
         target.lam, cov, cov, theta, tau, _evaluate(target, theta, None),
-        _evaluate(target, tau, None), m_next, ap, cp,
+        _evaluate(target, tau, None), m_next, cp,
     )
 
 

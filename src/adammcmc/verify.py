@@ -159,7 +159,7 @@ def criterion_detailed_balance():
     target = quadratic_target(2, lam=1.0, half_width=10.0)
     ap = AdamParams(gamma=0.05, beta1=0.9, beta2=0.9)
     pp = ProposalParams(sigma=0.4, sigma_dir=2.0)
-    cp = CorrectionParams.full_from_s2(1e-2, ap)
+    cp = CorrectionParams(1e-2, 1e-2)
     violation = detailed_balance_violations(
         target, ap, pp, cp, n_trials=200, rng=np.random.default_rng(12)
     ).max()

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 from adammcmc.chain import ChainRecord, load_samples_csv, run_chain
 from adammcmc.cli import main
 from adammcmc.config import CORRECTIONS, SAMPLERS, TARGETS, ConfigError, RunConfig
-from adammcmc.experiments import build_experiment, initial_state, make_step_fn, start_chain
+from adammcmc.experiments import (
+    build_experiment,
+    correction_params,
+    initial_state,
+    make_step_fn,
+    start_chain,
+)
 from adammcmc.losses import BatchStream
 from adammcmc.mlp import save_dataset_csv, two_moons
 
@@ -170,6 +176,15 @@ class TestRunConfig:
         cfg = RunConfig(**{**FAST_RUN, "sigma_dir": None})
         text = cfg.to_json()
         assert RunConfig.from_json(text).sigma_dir is None
+
+    def test_correction_params_from_config(self):
+        assert correction_params(RunConfig(correction="unit", rho1=0.1, rho2=0.2)) is None
+        cp = correction_params(RunConfig(correction="full", s_sq=3e-3))
+        assert (cp.s1_sq, cp.s2_sq) == (3e-3, 3e-3)
+        cp = correction_params(
+            RunConfig(correction="full", s_sq=3e-3, beta1=0.8, beta2=0.95, rho1=0.05, rho2=0.02)
+        )
+        assert (cp.s1_sq, cp.s2_sq) == (0.05**2 / (1.0 - 0.8**2), 0.02**2 / (1.0 - 0.95**2))
 
 
 class TestCmdRun:

@@ -193,7 +193,7 @@ class TestDetailedBalance:
         target = quadratic_target(2)
         ap = AdamParams(gamma=0.05, beta1=0.9, beta2=0.9)
         pp = ProposalParams(sigma=0.4, sigma_dir=2.0)
-        cp = CorrectionParams.full_from_s2(1e-2, ap)
+        cp = CorrectionParams(1e-2, 1e-2)
         from adammcmc.samplers import Momenta, adammcmc_log_alpha
 
         theta = np.array([0.3, -0.2])
@@ -205,7 +205,7 @@ class TestDetailedBalance:
         target = quadratic_target(2, lam=1.0, half_width=10.0)
         ap = AdamParams(gamma=0.05, beta1=0.9, beta2=0.9)
         pp = ProposalParams(sigma=0.4, sigma_dir=2.0)
-        cp = CorrectionParams.full_from_s2(1e-2, ap)
+        cp = CorrectionParams(1e-2, 1e-2)
         rng = np.random.default_rng(12)
         max_violation = detailed_balance_violations(target, ap, pp, cp, 200, rng).max()
         assert max_violation < 1e-8
@@ -216,14 +216,13 @@ class TestDetailedBalance:
         target = quadratic_target(2, lam=1.0, half_width=10.0)
         ap = AdamParams(gamma=0.05, beta1=0.9, beta2=0.9)
         pp = ProposalParams(sigma=0.4, sigma_dir=2.0)
-        cp_full = CorrectionParams.full_from_s2(1e-2, ap)
-        cp_unit = CorrectionParams.unit()
+        cp_full = CorrectionParams(1e-2, 1e-2)
 
         full = detailed_balance_violations(
             target, ap, pp, cp_full, 200, np.random.default_rng(3), density_cp=cp_full
         )
         unit = detailed_balance_violations(
-            target, ap, pp, cp_unit, 200, np.random.default_rng(3), density_cp=cp_full
+            target, ap, pp, None, 200, np.random.default_rng(3), density_cp=cp_full
         )
         assert unit.max() > full.max()
         assert np.median(unit) > np.median(full)
@@ -236,7 +235,7 @@ class TestDetailedBalance:
         target = quadratic_target(2, lam=1.0, half_width=10.0)
         ap = AdamParams(gamma=0.05, beta1=0.9, beta2=0.9)
         pp = ProposalParams(sigma=0.4, sigma_dir=2.0)
-        cp = CorrectionParams.full_from_s2(1e-2, ap)
+        cp = CorrectionParams(1e-2, 1e-2)
 
         original = prolate_mod.ProlateCovariance.log_reverse_ratio
 
@@ -253,6 +252,14 @@ class TestDetailedBalance:
         finally:
             prolate_mod.ProlateCovariance.log_reverse_ratio = original
         assert bad > 1e-4
+
+    def test_unit_correction_needs_density_variances(self):
+        # the invariant density's momentum factors need variances
+        target = quadratic_target(2)
+        ap = AdamParams(gamma=0.05, beta1=0.9, beta2=0.9)
+        pp = ProposalParams(sigma=0.4, sigma_dir=2.0)
+        with pytest.raises(ValueError, match="variances"):
+            detailed_balance_violations(target, ap, pp, None, 5, np.random.default_rng(0))
 
 
 FAST_SCAN_CONFIG = RunConfig(

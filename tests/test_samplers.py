@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from adammcmc.chain import run_chain
 from adammcmc.config import RunConfig
+from adammcmc.diagnostics import BALANCE_POINT_SCALE, _dense_gaussian_logpdf
 from adammcmc.experiments import build_experiment, start_chain
 from adammcmc.losses import (
     GibbsTarget,
@@ -311,7 +312,7 @@ class TestAdamMcmcStep:
         target = quadratic_target(3, lam=4.0)
         ap = AdamParams(gamma=0.02, beta1=0.95, beta2=0.95)
         pp = ProposalParams(sigma=1.5, sigma_dir=5.0)
-        cp = CorrectionParams.full_from_s2(1e-3, ap)
+        cp = CorrectionParams(1e-3, 1e-3)
         state = ChainState.init(np.array([1.0, 2.0, -1.0]), 13)
         for _ in range(300):
             state, info = adammcmc_step(state, target, ap, pp, cp)
@@ -431,25 +432,22 @@ class TestAdamMcmcStep:
 
 class TestCorrectionTerm:
     def test_equal_gradients_give_unity(self):
-        ap = AdamParams(beta1=0.9, beta2=0.9)
-        cp = CorrectionParams.full_from_s2(1e-4, ap)
+        cp = CorrectionParams(1e-4, 1e-4)
         g = np.array([0.3, -0.2])
         m = Momenta(np.array([0.1, 0.1]), np.array([0.2, 0.3]))
-        assert log_correction(m, g, g, cp, ap) == 0.0
+        assert log_correction(m, g, g, cp) == 0.0
 
     def test_momenta_at_proposal_gradients_give_at_least_one(self):
-        ap = AdamParams(beta1=0.9, beta2=0.9)
-        cp = CorrectionParams.full_from_s2(1e-4, ap)
+        cp = CorrectionParams(1e-4, 1e-4)
         g_tau = np.array([0.3, -0.2])
         g_theta = np.array([0.1, 0.4])
         m = Momenta(g_tau, g_tau**2)
-        assert log_correction(m, g_theta, g_tau, cp, ap) >= 0.0
+        assert log_correction(m, g_theta, g_tau, cp) >= 0.0
 
     def test_matches_direct_formula(self):
         # independent arithmetic evaluation on a small random instance
         rng = np.random.default_rng(3)
-        ap = AdamParams(beta1=0.8, beta2=0.95)
-        cp = CorrectionParams(mode="full", rho1=0.05, rho2=0.02)
+        cp = CorrectionParams(0.05**2 / (1 - 0.8**2), 0.02**2 / (1 - 0.95**2))
         m = Momenta(rng.standard_normal(3), rng.standard_normal(3))
         g_theta = rng.standard_normal(3)
         g_tau = rng.standard_normal(3)
@@ -462,20 +460,23 @@ class TestCorrectionTerm:
             s_sq = rho**2 / (1 - beta**2)
             expected += -np.sum((m_l - g_tau**power) ** 2) / (2 * s_sq)
             expected += np.sum((m_l - g_theta**power) ** 2) / (2 * s_sq)
-        got = log_correction(m, g_theta, g_tau, cp, ap)
+        got = log_correction(m, g_theta, g_tau, cp)
         assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_unit_mode_is_zero(self):
-        assert (
-            log_correction(
-                Momenta.zeros(2),
-                np.ones(2),
-                np.zeros(2),
-                CorrectionParams.unit(),
-                AdamParams(),
-            )
-            == 0.0
-        )
+    def test_unit_correction_never_evaluates_it(self, monkeypatch):
+        import adammcmc.samplers as samplers_mod
+
+        def forbidden(*args):
+            raise AssertionError("log_correction called with cp=None")
+
+        monkeypatch.setattr(samplers_mod, "log_correction", forbidden)
+        target = quadratic_target(2)
+        ap = AdamParams(gamma=0.05, beta1=0.9, beta2=0.9)
+        pp = ProposalParams(sigma=0.3, sigma_dir=1.5)
+        state = ChainState.init(np.array([0.8, -0.6]), 0)
+        for drift in ("adam", "gradient"):
+            for _ in range(20):
+                state, _ = adammcmc_step(state, target, ap, pp, None, drift=drift)
 
 
 class TestLogAlphaHook:
@@ -483,7 +484,7 @@ class TestLogAlphaHook:
         target = quadratic_target(2)
         ap = AdamParams()
         pp = ProposalParams(sigma=0.5, sigma_dir=1.0)
-        cp = CorrectionParams.full_from_s2(1e-2, ap)
+        cp = CorrectionParams(1e-2, 1e-2)
         theta = np.array([0.4, -0.1])
         m = Momenta(np.array([0.2, 0.0]), np.array([0.1, 0.05]))
         assert adammcmc_log_alpha(target, theta, theta, m, 4, ap, pp, cp) == 0.0
@@ -502,7 +503,7 @@ class TestLogAlphaHook:
         u = adam_update_vector(m_next, 0, ap)
         tau = theta0 - u + pp.sigma * z + pp.sigma_dir * xi * u
 
-        for cp in (CorrectionParams.unit(), CorrectionParams.full_from_s2(1e-2, ap)):
+        for cp in (None, CorrectionParams(1e-2, 1e-2)):
             state = ChainState.init(theta0, 0)
             state.rng = StubRng(z, normal_scalar=xi)
             _, info = adammcmc_step(state, target, ap, pp, cp)
@@ -550,12 +551,11 @@ class TestParamValidation:
             ProposalParams(sigma=1.0, sigma_dir=-1.0)
 
     def test_correction_params(self):
-        with pytest.raises(ValueError):
-            CorrectionParams(mode="bogus")
-        with pytest.raises(ValueError):
-            CorrectionParams(mode="full", rho1=0.0, rho2=0.1)
-        cp = CorrectionParams.full_from_s2(1e-4, AdamParams(beta1=0.5, beta2=0.5))
-        assert cp.s_sq(1, AdamParams(beta1=0.5, beta2=0.5)) == pytest.approx(1e-4)
+        for s1_sq, s2_sq in ((0.0, 0.1), (-1.0, 1.0), (np.nan, 1.0), (1.0, np.nan)):
+            with pytest.raises(ValueError):
+                CorrectionParams(s1_sq, s2_sq)
+        cp = CorrectionParams(1e-4, 2e-4)
+        assert (cp.s1_sq, cp.s2_sq) == (1e-4, 2e-4)
 
 
 METROPOLIS_STEPS = ["adam", "adam_full", "gradient", "mala"]
@@ -567,7 +567,7 @@ def metropolis_step(name: str, sigma: float):
         return lambda s, t, b: mala_step(s, t, 0.05, sigma, batch=b)
     ap = AdamParams(0.05, 0.9, 0.9)
     pp = ProposalParams(sigma, 2.0)
-    cp = CorrectionParams.full_from_s2(1e-2, ap) if name == "adam_full" else CorrectionParams()
+    cp = CorrectionParams(1e-2, 1e-2) if name == "adam_full" else None
     drift = "gradient" if name == "gradient" else "adam"
     return lambda s, t, b: adammcmc_step(s, t, ap, pp, cp, batch=b, drift=drift)
 
@@ -669,6 +669,44 @@ class TestGradientDrift:
             digest.update(state.theta.tobytes())
             digest.update(np.float64(info.log_alpha).tobytes())
         assert digest.hexdigest() == "337299f143eded0d38ffb566128eb15a849cde140a52d052cb67cc4a2bcd4d2c"
+
+    @pytest.mark.parametrize("make_target", [quadratic_target, banana_target])
+    def test_detailed_balance_against_dense_densities(self, make_target):
+        # pi(theta) q(tau | theta) alpha(theta -> tau) is symmetric in
+        # (theta, tau), each proposal density dense N(x - u(x), sigma^2 I +
+        # sigma_dir^2 u(x) u(x)^T) with u(x) = gamma * grad L(x).  A reference
+        # whose backward covariance is stretched along gamma * grad L(theta)
+        # instead of gamma * grad L(tau) fails: its worst violation is ~1e13
+        # on the quadratic and inf on the banana.
+        target = make_target(2, lam=1.0, half_width=10.0)
+        ap = AdamParams(gamma=0.05)
+        pp = ProposalParams(sigma=0.4, sigma_dir=2.0)
+        rng = np.random.default_rng(12)
+
+        def step_to(x, y, xi):
+            """x -> y as the gradient-drift step draws it: the proposal
+            forced through its normals, the log acceptance and log q(y | x)."""
+            u = ap.gamma * target.oracle.grad(x)
+            z = (y - x + u - pp.sigma_dir * xi * u) / pp.sigma
+            y = x - u + pp.sigma * z  # the proposal exactly as sample() forms it
+            y += pp.sigma_dir * xi * u
+            state = ChainState.init(x, 0)
+            state.rng = StubRng(z, normal_scalar=xi)
+            _, info = adammcmc_step(state, target, ap, pp, drift="gradient")
+            cov = pp.sigma**2 * np.eye(2) + pp.sigma_dir**2 * np.outer(u, u)
+            return y, info.log_alpha + _dense_gaussian_logpdf(y, x - u, cov)
+
+        worst = 0.0
+        for _ in range(200):
+            theta = BALANCE_POINT_SCALE * rng.standard_normal(2)
+            tau = BALANCE_POINT_SCALE * rng.standard_normal(2)
+            xi_fwd, xi_bwd = rng.standard_normal(2)
+            tau, fwd = step_to(theta, tau, xi_fwd)
+            _, bwd = step_to(tau, theta, xi_bwd)
+            lhs = target.log_unnorm(theta) + fwd
+            rhs = target.log_unnorm(tau) + bwd
+            worst = max(worst, abs(np.expm1(lhs - rhs)))
+        assert worst < 1e-8  # criterion 3's bound
 
     def test_overflowing_stretch_rejects(self):
         # gamma * grad at (1e60, 1e60) is ~1e181: (sigma_dir |u| / sigma)^2
