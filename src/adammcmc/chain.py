@@ -60,7 +60,10 @@ class ChainRecord:
     Every record's steps are 1..n, so `step` is derived, not stored.  The
     CSV serialization has the fixed columns (step, loss, log_alpha,
     accepted, theta_norm, u_norm); wall-clock timings stay in memory only,
-    as float32, so records are byte-stable across reruns.
+    as float32, so records are byte-stable across reruns.  Every CSV in
+    the package is written from Python floats and ints, and csv writes a
+    Python float as its repr: the shortest text that reads back to the same
+    double, so a written file loads back bit for bit.
     """
 
     loss: np.ndarray
@@ -82,41 +85,37 @@ class ChainRecord:
         return float(self.accepted.mean())
 
     def to_csv(self, path) -> None:
+        columns = (self.step, self.loss, self.log_alpha, self.accepted.astype(int),
+                   self.theta_norm, self.u_norm)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            for i in range(self.loss.size):
-                writer.writerow(
-                    [
-                        i + 1,
-                        repr(float(self.loss[i])),
-                        repr(float(self.log_alpha[i])),
-                        int(self.accepted[i]),
-                        repr(float(self.theta_norm[i])),
-                        repr(float(self.u_norm[i])),
-                    ]
-                )
+            writer.writerows(zip(*(c.tolist() for c in columns)))
 
     @classmethod
     def from_csv(cls, path) -> "ChainRecord":
-        cols = {name: [] for name in CSV_COLUMNS}
+        width = len(CSV_COLUMNS)
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])
             if tuple(header) != CSV_COLUMNS:
                 raise ValueError(f"unexpected record header: {header}")
+            rows = []
             for row in reader:
-                for name, value in zip(CSV_COLUMNS, row):
-                    cols[name].append(value)
-        steps = np.array(cols["step"], dtype=int)
-        if not np.array_equal(steps, np.arange(1, steps.size + 1)):
+                if len(row) != width:
+                    raise ValueError(
+                        f"line {reader.line_num}: expected {width} fields, got {len(row)}"
+                    )
+                rows.append(row)
+        step, loss, log_alpha, accepted, theta_norm, u_norm = list(zip(*rows)) or [()] * width
+        if not np.array_equal(np.array(step, dtype=int), np.arange(1, len(step) + 1)):
             raise ValueError("record steps must run 1..n")
         return cls(
-            loss=np.array(cols["loss"], dtype=float),
-            log_alpha=np.array(cols["log_alpha"], dtype=float),
-            accepted=np.array(cols["accepted"], dtype=int).astype(bool),
-            theta_norm=np.array(cols["theta_norm"], dtype=float),
-            u_norm=np.array(cols["u_norm"], dtype=float),
+            loss=np.array(loss, dtype=float),
+            log_alpha=np.array(log_alpha, dtype=float),
+            accepted=np.array(accepted, dtype=int).astype(bool),
+            theta_norm=np.array(theta_norm, dtype=float),
+            u_norm=np.array(u_norm, dtype=float),
         )
 
 
@@ -204,13 +203,10 @@ def ensemble_predict(samples: np.ndarray, net: MicroMlp, inputs: np.ndarray):
 
 def save_samples_csv(path, samples: np.ndarray) -> None:
     """One row of P full-precision floats per retained sample."""
-    samples = np.atleast_2d(samples)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in samples:
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(fh).writerows(np.atleast_2d(samples).tolist())
 
 
 def load_samples_csv(path) -> np.ndarray:
     with open(path, newline="") as fh:
-        return np.array([[float(v) for v in row] for row in csv.reader(fh)])
+        return np.array(list(csv.reader(fh)), dtype=float)

@@ -5,6 +5,7 @@ comparison."""
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -291,39 +292,23 @@ def scan_acceptance(
 
 
 def scan_rows_to_csv(rows: list[ScanRow], path) -> None:
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["param", "value", "seed", "mean_acceptance", "metric", "metric_name"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.param,
-                    repr(row.value),
-                    row.seed,
-                    repr(row.mean_acceptance),
-                    repr(row.metric),
-                    row.metric_name,
-                ]
-            )
+        writer.writerows(
+            (r.param, r.value, r.seed, r.mean_acceptance, r.metric, r.metric_name) for r in rows
+        )
 
 
 def scan_rows_to_long_csv(rows: list[ScanRow], path) -> None:
     """Plot-ready long format: one (param, value, seed, quantity, value) row
     per recorded quantity."""
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["param", "value", "seed", "quantity", "quantity_value"])
-        for row in rows:
-            writer.writerow(
-                [row.param, repr(row.value), row.seed, "mean_acceptance", repr(row.mean_acceptance)]
-            )
-            writer.writerow(
-                [row.param, repr(row.value), row.seed, row.metric_name, repr(row.metric)]
-            )
+        for r in rows:
+            writer.writerow((r.param, r.value, r.seed, "mean_acceptance", r.mean_acceptance))
+            writer.writerow((r.param, r.value, r.seed, r.metric_name, r.metric))
 
 
 # ---------------------------------------------------------------------------

@@ -207,8 +207,7 @@ def save_dataset_csv(path, inputs, labels):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x1", "x2", "label"])
-        for (x1, x2), lab in zip(inputs, labels):
-            writer.writerow([repr(float(x1)), repr(float(x2)), int(lab)])
+        writer.writerows(row + [lab] for row, lab in zip(inputs.tolist(), labels.tolist()))
 
 
 def load_dataset_csv(path):

@@ -48,7 +48,7 @@ class ProlateCovariance:
     def __post_init__(self):
         if not self.sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.sigma_dir < 0.0:
+        if not self.sigma_dir >= 0.0:
             raise ValueError(f"sigma_dir must be non-negative, got {self.sigma_dir}")
         d = np.asarray(self.direction, dtype=float)
         if d.ndim != 1:

@@ -49,7 +49,7 @@ class ProposalParams:
     def __post_init__(self):
         if not self.sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.sigma_dir < 0.0:
+        if not self.sigma_dir >= 0.0:
             raise ValueError(f"sigma_dir must be non-negative, got {self.sigma_dir}")
 
 
@@ -404,7 +404,7 @@ class SghmcParams:
             raise ValueError("gamma must be positive")
         if not 0.0 <= self.friction <= 1.0:
             raise ValueError("friction must lie in [0, 1]")
-        if self.noise_scale < 0.0:
+        if not self.noise_scale >= 0.0:
             raise ValueError("noise_scale must be non-negative")
 
 

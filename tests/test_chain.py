@@ -156,6 +156,70 @@ class TestRecordCsv:
         with pytest.raises(ValueError, match="1..n"):
             ChainRecord.from_csv(path)
 
+    @pytest.mark.parametrize("row", ["2,0.5,0.0", "2,0.5,0.0,1,1.0,0.1,7"])
+    def test_rows_of_the_wrong_length_rejected(self, tmp_path, row):
+        path = tmp_path / "r.csv"
+        header = "step,loss,log_alpha,accepted,theta_norm,u_norm\n"
+        path.write_text(header + "1,0.5,0.0,1,1.0,0.1\n" + row + "\n")
+        with pytest.raises(ValueError, match="line 3: expected 6 fields"):
+            ChainRecord.from_csv(path)
+
+    def test_file_without_header_rejected(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="unexpected record header"):
+            ChainRecord.from_csv(path)
+
+    def test_header_only_gives_empty_record(self, tmp_path):
+        path = tmp_path / "r.csv"
+        empty = np.array([])
+        ChainRecord(empty, empty, empty.astype(bool), empty, empty).to_csv(path)
+        back = ChainRecord.from_csv(path)
+        for name in ("loss", "log_alpha", "accepted", "theta_norm", "u_norm"):
+            assert getattr(back, name).shape == (0,)
+        assert back.accepted.dtype == bool and back.acceptance_rate == 0.0
+
+
+SPECIAL_FLOATS = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308, 0.1 + 0.2]
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestCsvCellText:
+    """Every float cell is repr(float(v)), which reads back bit for bit."""
+
+    def test_record(self, tmp_path):
+        values = np.array(SPECIAL_FLOATS)
+        record = ChainRecord(
+            loss=values,
+            log_alpha=values[::-1].copy(),
+            accepted=np.arange(values.size) % 2 == 0,
+            theta_norm=np.roll(values, 1),
+            u_norm=np.roll(values, 2),
+        )
+        path = tmp_path / "record.csv"
+        record.to_csv(path)
+        rows = path.read_text().splitlines()[1:]
+        columns = [record.loss, record.log_alpha, record.theta_norm, record.u_norm]
+        for i, row in enumerate(rows):
+            cells = row.split(",")
+            assert cells[0] == str(i + 1) and cells[3] == str(int(record.accepted[i]))
+            assert [cells[1], cells[2], cells[4], cells[5]] == [repr(float(c[i])) for c in columns]
+        back = ChainRecord.from_csv(path)
+        for name in ("loss", "log_alpha", "theta_norm", "u_norm"):
+            assert same_bits(getattr(back, name), getattr(record, name)), name
+        np.testing.assert_array_equal(back.accepted, record.accepted)
+
+    def test_samples(self, tmp_path):
+        samples = np.array([SPECIAL_FLOATS, SPECIAL_FLOATS[::-1]])
+        path = tmp_path / "samples.csv"
+        save_samples_csv(path, samples)
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert rows == [[repr(float(v)) for v in row] for row in samples]
+        assert same_bits(load_samples_csv(path), samples)
+
 
 class TestEnsemblePredict:
     def test_identical_samples_zero_spread(self):

@@ -427,6 +427,7 @@ class TestCmdScan:
             (["--grid", "-1", "--jobs", "2"], "sigma"),
             (["--grid", "0.5", "--replicates", "-1"], "replicates"),
             (["--grid", "0.5", "--jobs", "0"], "jobs"),
+            (["--grid", "0.1,abc"], "grid"),
         ],
     )
     def test_bad_scan_argument_exit_2_without_pool(self, tmp_path, capsys, monkeypatch, extra, field):

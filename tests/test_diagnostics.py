@@ -1,5 +1,7 @@
 """Grid masses, TV traces, detailed balance, scans and MH comparison."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from adammcmc.diagnostics import (
     detailed_balance_violations,
     grid_masses,
     scan_acceptance,
+    scan_rows_to_csv,
+    scan_rows_to_long_csv,
     truncated_gaussian_variance,
     tv_trace,
 )
@@ -350,6 +354,36 @@ class TestScan:
         for a, b in zip(serial, parallel):
             assert a.mean_acceptance == b.mean_acceptance
             assert a.metric == b.metric
+
+
+class TestScanCsvBytes:
+    """Pinned digest of scan.csv + scan_long.csv for a short scan of each
+    metric kind: variance_error (noisy quadratic), test_accuracy (mlp) and
+    the NaN 'none' metric (banana, dim 3).  The platform note of
+    test_config_cli.TestGoldenOutputs applies."""
+
+    SCANS = [
+        (FAST_SCAN_CONFIG.replace(target="noisy_quadratic", dim=4, batch_size=32), [0.3, 0.6]),
+        (
+            RunConfig(target="mlp", gamma=0.001, sigma=0.01, sigma_dir=20.0, steps=40,
+                      burn_in=20, gap=4, n_samples=5, seed=0),
+            [0.01],
+        ),
+        (FAST_SCAN_CONFIG.replace(target="banana", dim=3), [0.2]),
+    ]
+    DIGEST = "829a64d90a0f30773680f86d82e5711be963b7b2c9e01fe4d9db9413e980b869"
+
+    def test_digest(self, tmp_path):
+        blob = b""
+        for k, (config, grid) in enumerate(self.SCANS):
+            rows = scan_acceptance(config, "sigma", grid, n_replicates=1)
+            scan_rows_to_csv(rows, tmp_path / f"scan{k}.csv")
+            scan_rows_to_long_csv(rows, tmp_path / f"scan_long{k}.csv")
+            blob += (tmp_path / f"scan{k}.csv").read_bytes()
+            blob += (tmp_path / f"scan_long{k}.csv").read_bytes()
+        text = blob.decode()
+        assert "variance_error" in text and "test_accuracy" in text and ",nan,none" in text
+        assert hashlib.sha256(blob).hexdigest() == self.DIGEST
 
 
 class TestMhComparison:

@@ -130,11 +130,12 @@ class TestBatching:
         )
 
     def test_full_batch_stream_is_rng_silent(self):
-        rng = np.random.default_rng(9)
-        before = rng.bit_generator.state
-        stream = BatchStream(100, 0, rng)
-        assert all(stream.next() is None for _ in range(5))
-        assert rng.bit_generator.state == before
+        for batch_size in (0, 100, 101):  # a batch of n or more is full batch too
+            rng = np.random.default_rng(9)
+            before = rng.bit_generator.state
+            stream = BatchStream(100, batch_size, rng)
+            assert all(stream.next() is None for _ in range(5)), batch_size
+            assert rng.bit_generator.state == before
 
     def test_weighted_batch_mean_equals_full_loss(self):
         net = MicroMlp((2, 6, 2))
@@ -516,6 +517,13 @@ class TestDataset:
         x2, y2 = load_dataset_csv(path)
         np.testing.assert_array_equal(x, x2)
         np.testing.assert_array_equal(y, y2)
+
+    def test_csv_cells_are_float_reprs(self, tmp_path):
+        x, y, _, _ = two_moons(n_train=50, n_test=10)
+        path = tmp_path / "data.csv"
+        save_dataset_csv(path, x, y)
+        rows = [f"{float(a)!r},{float(b)!r},{int(lab)}" for (a, b), lab in zip(x, y)]
+        assert path.read_bytes() == "\r\n".join(["x1,x2,label"] + rows + [""]).encode()
 
     def test_ood_inputs_are_far_from_support(self):
         x, _, _, _ = two_moons()

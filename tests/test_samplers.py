@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adammcmc import samplers
 from adammcmc.chain import run_chain
 from adammcmc.config import RunConfig
 from adammcmc.diagnostics import BALANCE_POINT_SCALE, _dense_gaussian_logpdf
 from adammcmc.experiments import build_experiment, start_chain
 from adammcmc.losses import (
+    BananaLoss,
     GibbsTarget,
     LossOracle,
     PriorBox,
@@ -22,6 +24,7 @@ from adammcmc.losses import (
     noisy_quadratic_target,
     quadratic_target,
 )
+from adammcmc.prolate import ProlateCovariance
 from adammcmc.samplers import (
     AdamParams,
     ChainState,
@@ -549,6 +552,28 @@ class TestParamValidation:
             ProposalParams(sigma=0.0)
         with pytest.raises(ValueError):
             ProposalParams(sigma=1.0, sigma_dir=-1.0)
+        with pytest.raises(ValueError, match="sigma_dir"):
+            ProposalParams(sigma=1.0, sigma_dir=np.nan)
+
+    def test_prolate_covariance_nan_sigma_dir(self):
+        with pytest.raises(ValueError, match="sigma_dir"):
+            ProlateCovariance(1.0, np.nan, np.ones(2))
+
+    @pytest.mark.parametrize(
+        "fields, rule",
+        [
+            (dict(gamma=0.0), "gamma"),
+            (dict(gamma=np.nan), "gamma"),
+            (dict(friction=-0.1), "friction"),
+            (dict(friction=1.5), "friction"),
+            (dict(friction=np.nan), "friction"),
+            (dict(noise_scale=-1.0), "noise_scale"),
+            (dict(noise_scale=np.nan), "noise_scale"),
+        ],
+    )
+    def test_sghmc_params(self, fields, rule):
+        with pytest.raises(ValueError, match=rule):
+            SghmcParams(**fields)
 
     def test_correction_params(self):
         for s1_sq, s2_sq in ((0.0, 0.1), (-1.0, 1.0), (np.nan, 1.0), (1.0, np.nan)):
@@ -724,6 +749,84 @@ class TestGradientDrift:
         # u = grad ~ (4e181, -2e121): the first entry alone sets the norm
         u = target.oracle.grad(state.theta)
         assert info.u_norm == pytest.approx(abs(u[0]), rel=1e-15)
+
+
+def exact_draws(target: GibbsTarget, n: int, rng) -> np.ndarray:
+    """n exact draws from a P=2 quadratic or banana Gibbs target, rejected
+    into the prior box: for the banana x ~ N(1, 1/(2 lam)) and
+    y | x ~ N(x^2, 1/(2 lam c)), c the curvature."""
+    lam, half_width = target.lam, target.prior.half_width
+    out = np.empty((0, 2))
+    while len(out) < n:
+        if isinstance(target.oracle, BananaLoss):
+            x = 1.0 + rng.standard_normal(n) / np.sqrt(2.0 * lam)
+            y = x**2 + rng.standard_normal(n) / np.sqrt(2.0 * lam * target.oracle.curvature)
+            cand = np.column_stack([x, y])
+        else:
+            cand = rng.standard_normal((n, 2)) / np.sqrt(lam)
+        out = np.concatenate([out, cand[np.abs(cand).max(axis=1) <= half_width]])
+    return out[:n]
+
+
+def exact_start_z(step, target: GibbsTarget, n_chains: int = 20_000, seed: int = 3) -> np.ndarray:
+    """z-scores of one step from n_chains exact starts against the target.
+
+    Per coordinate: the two-sample z of mean and variance against as many
+    fresh exact draws, and the paired z of the change in x and x^2 from start
+    to end.  An exact kernel leaves the target unchanged, so every z is
+    standard normal; the paired ones see small biases, because a step moves
+    each point only a little.
+    """
+    rng = np.random.default_rng(seed)
+    starts = exact_draws(target, n_chains, rng)
+    ends = np.empty_like(starts)
+    for i, theta in enumerate(starts):
+        state, _ = step(ChainState(theta, Momenta.zeros(2), 0, None, rng), target)
+        ends[i] = state.theta
+    fresh = exact_draws(target, n_chains, rng)
+
+    def var_of_var(x):
+        d = x - x.mean(axis=0)
+        return ((d**4).mean(axis=0) - (d**2).mean(axis=0) ** 2) / n_chains
+
+    z_mean = (ends.mean(axis=0) - fresh.mean(axis=0)) / np.sqrt(
+        (ends.var(axis=0, ddof=1) + fresh.var(axis=0, ddof=1)) / n_chains
+    )
+    z_var = (ends.var(axis=0, ddof=1) - fresh.var(axis=0, ddof=1)) / np.sqrt(
+        var_of_var(ends) + var_of_var(fresh)
+    )
+    change = np.concatenate([ends - starts, ends**2 - starts**2], axis=1)
+    z_paired = change.mean(axis=0) / (change.std(axis=0, ddof=1) / np.sqrt(n_chains))
+    return np.concatenate([z_mean, z_var, z_paired])
+
+
+def exact_start_mala(state, target):
+    return mala_step(state, target, 0.05, 0.4)
+
+
+def exact_start_gradient_drift(state, target):
+    return adammcmc_step(
+        state, target, AdamParams(gamma=0.05), ProposalParams(0.4, 2.0), drift="gradient"
+    )
+
+
+class TestExactStartInvariance:
+    """One step from exact draws of the target stays distributed as the
+    target (Geweke 2004): MALA and the stretched gradient drift, on the P=2
+    quadratic and banana in the box of half width 10."""
+
+    @pytest.mark.parametrize("make_target", [quadratic_target, banana_target])
+    @pytest.mark.parametrize("step", [exact_start_mala, exact_start_gradient_drift])
+    def test_one_step_keeps_the_target(self, step, make_target):
+        z = exact_start_z(step, make_target(2, 1.0, 10.0))
+        assert np.abs(z).max() <= 4.0, z
+
+    def test_detects_a_missing_proposal_ratio(self, monkeypatch):
+        # MALA without its reverse/forward density ratio shrinks the
+        # variance: the paired x^2 z read -11.2 and -11.6 when recorded
+        monkeypatch.setattr(samplers, "_iso_log_density", lambda mean, sigma, x: 0.0)
+        z = exact_start_z(exact_start_mala, quadratic_target(2, 1.0, 10.0))
+        assert np.abs(z).max() > 4.0, z
 
 
 def test_one_norm_per_adam_drift_step(monkeypatch):
