@@ -172,7 +172,10 @@ def make_batches(n: int, batch_size: int, rng: np.random.Generator):
     if not 1 <= batch_size <= n:
         raise ValueError(f"batch_size must be in [1, {n}], got {batch_size}")
     perm = rng.permutation(n)
-    return [np.sort(perm[i : i + batch_size]) for i in range(0, n, batch_size)]
+    batches = [perm[i : i + batch_size] for i in range(0, n, batch_size)]
+    for batch in batches:
+        batch.sort()  # in place: the batches are disjoint slices of perm
+    return batches
 
 
 class BatchStream:
@@ -191,12 +194,8 @@ class BatchStream:
         self.rng = rng
         self._queue: list[np.ndarray] = []
 
-    @property
-    def full_batch(self) -> bool:
-        return self.batch_size == 0
-
     def next(self):
-        if self.full_batch:
+        if self.batch_size == 0:
             return None
         if not self._queue:
             self._queue = make_batches(self.n, self.batch_size, self.rng)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import GibbsTarget, LossOracle
-from .prolate import LOG_2PI, ProlateCovariance, _safe_norm
+from . import prolate
+from .prolate import LOG_2PI, _safe_norm
 
 
 @dataclass(frozen=True)
@@ -89,12 +90,13 @@ class Evaluation:
     loss: float
     inside: bool
     full: bool
-    grad_fn: Callable[[], np.ndarray]
+    grad_fn: Callable[[], np.ndarray] | None
     _grad: np.ndarray | None = None
 
     def grad(self) -> np.ndarray:
         if self._grad is None:
             self._grad = self.grad_fn()
+            self.grad_fn = None  # the callable may hold the oracle's activations
         return self._grad
 
 
@@ -115,7 +117,7 @@ class ChainState:
         return cls(theta0.copy(), Momenta.zeros(theta0.size), 0, None, np.random.default_rng(rng))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepInfo:
     """Per-step log payload: what happened and at what acceptance level."""
 
@@ -149,10 +151,7 @@ def adam_update_vector(m: Momenta, k: int, p: AdamParams) -> np.ndarray:
 
 
 def log_correction(
-    m_next: Momenta,
-    grad_theta: np.ndarray,
-    grad_tau: np.ndarray,
-    cp: CorrectionParams,
+    m_next: Momenta, grad_theta: np.ndarray, grad_tau: np.ndarray, cp: CorrectionParams
 ) -> float:
     """Log of the momentum-density acceptance correction.
 
@@ -168,14 +167,8 @@ def log_correction(
 
 
 def _finish_log_alpha(
-    lam: float,
-    loss_cur: float,
-    loss_prop: float,
-    in_cur: bool,
-    in_prop: bool,
-    log_fwd: float,
-    log_bwd: float,
-    log_c: float,
+    lam: float, loss_cur: float, loss_prop: float, in_cur: bool, in_prop: bool,
+    log_fwd: float, log_bwd: float, log_c: float,
 ) -> float:
     """Assemble log acceptance in log space; never returns NaN.
 
@@ -227,20 +220,14 @@ def _accept_or_stay(
 ):
     """The Metropolis test's last draw: one uniform keeps the proposal tau or
     the current point, each with its evaluation; u_norm is the drift's norm."""
-    accepted = bool(np.log(state.rng.uniform()) <= log_alpha)
+    accepted = bool(np.log(state.rng.random()) <= log_alpha)
     new_theta, new = (tau, prop) if accepted else (state.theta, cur)
     new_state = ChainState(new_theta, momenta, state.step + 1, new, state.rng)
     info = StepInfo(accepted, float(log_alpha), float(new.loss), u_norm, prop.inside)
     return new_state, info
 
 
-def mala_step(
-    state: ChainState,
-    target: GibbsTarget,
-    gamma: float,
-    sigma: float,
-    batch=None,
-):
+def mala_step(state: ChainState, target: GibbsTarget, gamma: float, sigma: float, batch=None):
     """One Metropolis-adjusted Langevin step with isotropic noise.
 
     Proposes around the gradient-descent point theta - gamma * grad, accepts
@@ -269,13 +256,8 @@ def mala_step(
 
 
 def adammcmc_step(
-    state: ChainState,
-    target: GibbsTarget,
-    ap: AdamParams,
-    pp: ProposalParams,
-    cp: CorrectionParams | None = None,
-    batch=None,
-    drift: str = "adam",
+    state: ChainState, target: GibbsTarget, ap: AdamParams, pp: ProposalParams,
+    cp: CorrectionParams | None = None, batch=None, drift: str = "adam",
 ):
     """One Metropolis step around an Adam update with a prolate proposal.
 
@@ -298,22 +280,25 @@ def adammcmc_step(
 
     m_next = adam_momentum_update(state.momenta, cur.grad(), ap)
     u = adam_update_vector(m_next, state.step, ap) if drift == "adam" else ap.gamma * cur.grad()
-    cov_fwd = ProlateCovariance(pp.sigma, pp.sigma_dir, u)
-    tau = cov_fwd.sample(theta - u, state.rng)
+    norm = _safe_norm(u)
+    tau = prolate.sample(pp.sigma, pp.sigma_dir, u, theta - u, state.rng)
 
     if drift == "adam":
-        prop, cov_bwd = _evaluate(target, tau, batch), cov_fwd
+        prop, v, v_norm = _evaluate(target, tau, batch), u, norm
     else:  # the proposal ignores the momenta, so the correction is unit
         with np.errstate(invalid="ignore", over="ignore"):
             prop = _evaluate(target, tau, batch)
-            cov_bwd = ProlateCovariance(pp.sigma, pp.sigma_dir, ap.gamma * prop.grad())
+            v = ap.gamma * prop.grad()
+            v_norm = _safe_norm(v)
         cp = None
-    log_alpha = _adam_log_alpha(target.lam, cov_fwd, cov_bwd, theta, tau, cur, prop, m_next, cp)
-    return _accept_or_stay(state, tau, cur, prop, m_next, log_alpha, cov_fwd.norm)
+    log_alpha = _adam_log_alpha(
+        target.lam, pp, u, norm, v, v_norm, theta, tau, cur, prop, m_next, cp
+    )
+    return _accept_or_stay(state, tau, cur, prop, m_next, log_alpha, norm)
 
 
 def _adam_log_alpha(
-    lam: float, cov_fwd: ProlateCovariance, cov_bwd: ProlateCovariance,
+    lam: float, pp: ProposalParams, u: np.ndarray, norm: float, v: np.ndarray, v_norm: float,
     theta: np.ndarray, tau: np.ndarray, cur: Evaluation, prop: Evaluation,
     m_next: Momenta, cp: CorrectionParams | None,
 ) -> float:
@@ -321,18 +306,19 @@ def _adam_log_alpha(
 
     The one assembly of this acceptance, run by adammcmc_step on its batch
     evaluations and by adammcmc_log_alpha on full-batch ones.  Each
-    covariance's direction is its drift: forward around theta - u_fwd,
-    backward around tau - u_bwd.  The adam drift passes one covariance
-    twice, and then the density ratio is the covariance's closed form; only
-    their difference enters, so it goes in as log_bwd against log_fwd = 0.
-    The gradients are taken only for the full correction (cp not None).
+    proposal stretches along its drift, given with its norm: forward around
+    theta - u, backward around tau - v.  The adam drift passes u twice, and
+    then the density ratio is the shared covariance's closed form; only their
+    difference enters, as log_bwd against log_fwd = 0.  The gradients are
+    taken only for the full correction (cp not None).
     """
-    if cov_bwd is cov_fwd:
-        log_fwd, log_bwd = 0.0, cov_fwd.log_reverse_ratio(tau - theta)
+    sigma, sigma_dir = pp.sigma, pp.sigma_dir
+    if v is u:
+        log_fwd, log_bwd = 0.0, prolate.log_reverse_ratio(sigma, sigma_dir, u, norm, tau - theta)
     else:
-        log_fwd = cov_fwd.log_density(theta - cov_fwd.direction, tau)
+        log_fwd = prolate.log_density(sigma, sigma_dir, u, norm, theta - u, tau)
         with np.errstate(invalid="ignore", over="ignore"):
-            log_bwd = cov_bwd.log_density(tau - cov_bwd.direction, theta)
+            log_bwd = prolate.log_density(sigma, sigma_dir, v, v_norm, tau - v, theta)
     log_c = 0.0
     if cp is not None:
         with np.errstate(invalid="ignore", over="ignore"):
@@ -343,14 +329,8 @@ def _adam_log_alpha(
 
 
 def adammcmc_log_alpha(
-    target: GibbsTarget,
-    theta: np.ndarray,
-    tau: np.ndarray,
-    m_next: Momenta,
-    k: int,
-    ap: AdamParams,
-    pp: ProposalParams,
-    cp: CorrectionParams | None,
+    target: GibbsTarget, theta: np.ndarray, tau: np.ndarray, m_next: Momenta, k: int,
+    ap: AdamParams, pp: ProposalParams, cp: CorrectionParams | None,
 ) -> float:
     """Log acceptance for proposing tau from (theta, m_next) at step k.
 
@@ -359,9 +339,10 @@ def adammcmc_log_alpha(
     """
     theta = np.asarray(theta, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    cov = ProlateCovariance(pp.sigma, pp.sigma_dir, adam_update_vector(m_next, k, ap))
+    u = adam_update_vector(m_next, k, ap)
+    norm = _safe_norm(u)
     return _adam_log_alpha(
-        target.lam, cov, cov, theta, tau, _evaluate(target, theta, None),
+        target.lam, pp, u, norm, u, norm, theta, tau, _evaluate(target, theta, None),
         _evaluate(target, tau, None), m_next, cp,
     )
 

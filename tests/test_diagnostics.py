@@ -231,7 +231,7 @@ class TestDetailedBalance:
         assert unit.max() > full.max()
         assert np.median(unit) > np.median(full)
 
-    def test_sign_mutation_detected(self):
+    def test_sign_mutation_detected(self, monkeypatch):
         # flipping the sign of the stretch term in the closed-form proposal
         # ratio must break the check
         import adammcmc.prolate as prolate_mod
@@ -241,20 +241,12 @@ class TestDetailedBalance:
         pp = ProposalParams(sigma=0.4, sigma_dir=2.0)
         cp = CorrectionParams(1e-2, 1e-2)
 
-        original = prolate_mod.ProlateCovariance.log_reverse_ratio
+        def buggy(sigma, sigma_dir, d, norm, x):
+            along = float(x @ d) / norm
+            return 2.0 * along / (sigma**2 / norm - sigma_dir**2 * norm)
 
-        def buggy(self, x):
-            n = self.norm
-            along = float(x @ self.direction) / n
-            return 2.0 * along / (self.sigma**2 / n - self.sigma_dir**2 * n)
-
-        prolate_mod.ProlateCovariance.log_reverse_ratio = buggy
-        try:
-            bad = detailed_balance_violations(
-                target, ap, pp, cp, 50, np.random.default_rng(8)
-            ).max()
-        finally:
-            prolate_mod.ProlateCovariance.log_reverse_ratio = original
+        monkeypatch.setattr(prolate_mod, "log_reverse_ratio", buggy)
+        bad = detailed_balance_violations(target, ap, pp, cp, 50, np.random.default_rng(8)).max()
         assert bad > 1e-4
 
     def test_unit_correction_needs_density_variances(self):

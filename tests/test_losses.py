@@ -2,6 +2,7 @@
 
 import functools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from adammcmc.losses import (
     quadratic_target,
 )
 from adammcmc.mlp import (
+    Activations,
     MicroMlp,
     load_dataset_csv,
     ood_inputs,
@@ -219,6 +221,23 @@ class TestMlpForwardMemo:
         first = evaluation.grad()
         assert evaluation.grad() is first and evaluation.grad() is first
         assert len(calls) == 1
+
+    def test_grad_releases_the_forward_activations(self):
+        # a kept Evaluation (the chain's current point) must not pin the
+        # forward pass's activations once its gradient is cached
+        net, oracle, x, y, rng = self.make_case()
+        loss, grad_fn = oracle.evaluate(net.init_params(rng), None)
+        (saved,) = [
+            c.cell_contents for c in grad_fn.__closure__
+            if isinstance(c.cell_contents, Activations)
+        ]
+        logits = weakref.ref(saved.logits)
+        evaluation = Evaluation(loss, True, True, grad_fn)
+        del saved, grad_fn
+        assert logits() is not None
+        first = evaluation.grad()
+        assert logits() is None
+        assert evaluation.grad() is first
 
     @pytest.mark.parametrize("batch_size", [0, 32])
     def test_one_sweep_per_evaluation_in_a_chain(self, batch_size, sweeps, monkeypatch):

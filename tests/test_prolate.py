@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import multivariate_normal
 
+from adammcmc import prolate
 from adammcmc.diagnostics import _dense_gaussian_logpdf
 from adammcmc.prolate import ProlateCovariance, _safe_norm
 
@@ -315,7 +316,81 @@ class TestReverseRatio:
         assert math.isfinite(cov.log_reverse_ratio(tau - theta))
 
 
+class TestViewIsTheFunctions:
+    """Each ProlateCovariance method is its module function, to the bit."""
+
+    @settings(max_examples=200)
+    @given(
+        dim=st.integers(1, 8),
+        sigma=st.floats(0.01, 10.0),
+        sigma_dir=SIGMA_DIRS,
+        log_norm=st.floats(-200.0, 300.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_method(self, dim, sigma, sigma_dir, log_norm, seed):
+        u, cov, theta, tau = adam_drift_pair(dim, sigma, sigma_dir, log_norm, seed)
+        g = (sigma, sigma_dir, u, _safe_norm(u))
+        x = tau - theta
+        assert cov.norm == g[3]
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairs = [
+                (cov.log_det(), prolate.log_det(*g)),
+                (cov.log_reverse_ratio(x), prolate.log_reverse_ratio(*g, x)),
+                (cov.inv_quad_form(x), prolate.inv_quad_form(*g, x)),
+                (cov.log_density(theta - u, tau), prolate.log_density(*g, theta - u, tau)),
+            ]
+        for got, want in pairs:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        drawn = cov.sample(theta, np.random.default_rng(seed))
+        want = prolate.sample(*g[:3], theta, np.random.default_rng(seed))
+        assert drawn.tobytes() == want.tobytes()
+
+
+def guarded_norm(x):
+    """_safe_norm as written before its x . x window: the largest entry
+    chooses between sqrt(x . x) and the sum rescaled by that entry."""
+    m = float(np.abs(x).max()) if x.size else 0.0
+    if 1e-150 <= m <= 1e150:
+        return math.sqrt(float(x @ x))
+    if m == 0.0 or not math.isfinite(m):
+        return m
+    scaled = x / m
+    return m * math.sqrt(float(scaled @ scaled))
+
+
 class TestSafeNorm:
+    @settings(max_examples=500)
+    @given(
+        dim=st.integers(1, 400),
+        # the whole range, and the two edges of the x . x window
+        low=st.one_of(
+            st.floats(-323.3, 308.0), st.floats(-160.0, -140.0), st.floats(140.0, 154.0)
+        ),
+        width=st.one_of(st.floats(0.0, 3.0), st.floats(0.0, 40.0)),
+        specials=st.lists(st.sampled_from([0.0, math.inf, -math.inf, math.nan]), max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(1, 145.0, 0.0, [], 0)  # x . x at the window's top
+    @example(1, -145.0, 0.0, [], 0)  # and at its bottom
+    @example(400, 144.0, 0.0, [], 0)
+    @example(3, 151.0, 1.0, [], 0)  # x . x finite, past the window
+    @example(2, -323.3, 0.0, [], 0)  # the smallest subnormal
+    @example(3, 200.0, 0.0, [math.nan, math.inf], 0)
+    def test_same_bytes_as_the_guarded_formula(self, dim, low, width, specials, seed):
+        # entries of exponents in [low, low + width] with random signs, a few
+        # of them replaced by zeros, infinities or NaN
+        rng = np.random.default_rng(seed)
+        exponents = np.minimum(rng.uniform(low, low + width, dim), 308.0)
+        x = rng.choice([-1.0, 1.0], dim) * 10.0**exponents
+        k = min(len(specials), dim)
+        x[rng.choice(dim, k, replace=False)] = specials[:k]
+        with np.errstate(over="ignore"):
+            want = guarded_norm(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _safe_norm(x)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
     def test_overflow_edge_warns_nothing(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -59,7 +59,7 @@ class StubRng:
             return self.normal_scalar
         return self.normal_vec.copy()
 
-    def uniform(self):
+    def random(self):
         return self.uniform_value
 
 
@@ -830,17 +830,15 @@ class TestExactStartInvariance:
 
 
 def test_one_norm_per_adam_drift_step(monkeypatch):
-    # the step's one covariance serves the draw and both densities
-    from adammcmc import prolate
-
+    # the step's one drift norm serves the draw and both densities
     calls = []
-    safe_norm = prolate._safe_norm
+    safe_norm = samplers._safe_norm
 
     def counting(x):
         calls.append(x)
         return safe_norm(x)
 
-    monkeypatch.setattr(prolate, "_safe_norm", counting)
+    monkeypatch.setattr(samplers, "_safe_norm", counting)
     target = quadratic_target(3)
     state = ChainState.init(np.array([0.3, -0.2, 0.1]), 4)
     for name in ("adam", "adam_full"):
@@ -849,6 +847,33 @@ def test_one_norm_per_adam_drift_step(monkeypatch):
             before = len(calls)
             state, _ = step(state, target, None)
             assert len(calls) == before + 1
+
+
+@pytest.mark.parametrize("name", ["adam", "adam_full", "gradient"])
+def test_chain_steps_build_no_covariance(name, monkeypatch):
+    # the steps pass each drift and its norm to the prolate functions
+    def refuse(self):
+        raise AssertionError("a chain step built a ProlateCovariance")
+
+    monkeypatch.setattr(ProlateCovariance, "__post_init__", refuse)
+    target = quadratic_target(3)
+    step = metropolis_step(name, 0.3)
+    state = ChainState.init(np.array([0.3, -0.2, 0.1]), 4)
+    accepted = 0
+    for _ in range(50):
+        state, info = step(state, target, None)
+        accepted += info.accepted
+    assert accepted > 0
+
+
+def test_random_draws_the_uniform_stream():
+    # the accept test draws rng.random(): Generator.uniform() on [0, 1) is
+    # 0.0 + 1.0 * next_double, the same double from the same stream
+    a, b = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(2_000):
+        assert a.standard_normal(3).tobytes() == b.standard_normal(3).tobytes()
+        assert np.float64(a.uniform()).tobytes() == np.float64(b.random()).tobytes()
+    assert a.uniform(size=50_000).tobytes() == b.random(50_000).tobytes()
 
 
 def python_calls_per_step(config):
@@ -869,7 +894,7 @@ def test_adam_step_python_calls():
         target="quadratic", dim=2, sampler="adammcmc", lam=1.0, gamma=0.01, sigma=0.3,
         sigma_dir=10.0, beta1=0.99, beta2=0.99, steps=500, burn_in=0, gap=50, n_samples=10,
     )
-    assert python_calls_per_step(config) <= 55
+    assert python_calls_per_step(config) <= 31
 
 
 def test_minibatch_noisy_step_python_calls():
@@ -879,4 +904,4 @@ def test_minibatch_noisy_step_python_calls():
         target="noisy_quadratic", dim=16, sampler="adammcmc", lam=1.0, gamma=0.01, sigma=0.3,
         sigma_dir=10.0, batch_size=32, steps=500, burn_in=0, gap=50, n_samples=10,
     )
-    assert python_calls_per_step(config) <= 55
+    assert python_calls_per_step(config) <= 48
