@@ -60,7 +60,9 @@ class ChainRecord:
     Every record's steps are 1..n, so `step` is derived, not stored.  The
     CSV serialization has the fixed columns (step, loss, log_alpha,
     accepted, theta_norm, u_norm); wall-clock timings stay in memory only,
-    as float32, so records are byte-stable across reruns.  Every CSV in
+    as float32, so records are byte-stable across reruns.  Records of
+    chains run in lockstep (run_chains) carry step_seconds=None, because
+    one lockstep step times all C chains at once.  Every CSV in
     the package is written from Python floats and ints, and csv writes a
     Python float as its repr: the shortest text that reads back to the same
     double, so a written file loads back bit for bit.
@@ -170,6 +172,13 @@ def run_chain(step_fn, state0: ChainState, schedule: ChainSchedule):
         if k in wanted:
             samples[kept] = state.theta
             kept += 1
+    record.n_boundary_rejects = boundary
+    _check_finite(record)
+    summary = EnsembleSummary(samples=samples, sample_steps=schedule.sample_steps)
+    return summary, record
+
+
+def _check_finite(record: ChainRecord) -> None:
     bad = ~(np.isfinite(record.theta_norm) & np.isfinite(record.loss))
     if bad.any():
         i = int(np.argmax(bad))
@@ -177,9 +186,44 @@ def run_chain(step_fn, state0: ChainState, schedule: ChainSchedule):
             f"chain diverged at step {i + 1}: |theta| = {float(record.theta_norm[i])}, "
             f"loss = {float(record.loss[i])}"
         )
-    record.n_boundary_rejects = boundary
-    summary = EnsembleSummary(samples=samples, sample_steps=schedule.sample_steps)
-    return summary, record
+
+
+def run_chains(step_fn, state0: ChainState, schedule: ChainSchedule):
+    """run_chain for C chains in lockstep: state0 is a ChainState.stack
+    state, and step_fn returns StepInfos of (C,) arrays.  Returns each
+    chain's (EnsembleSummary, ChainRecord) as run_chain returns it, the
+    records without step_seconds.  Raises run_chain's NumericalAbort for
+    the first row that diverged.
+    """
+    n = schedule.total_steps
+    c, p = state0.theta.shape
+    loss, log_alpha, theta_norm, u_norm = (np.empty((n, c)) for _ in range(4))
+    accepted = np.zeros((n, c), dtype=bool)
+    boundary = np.zeros(c, dtype=int)
+    wanted = set(schedule.sample_steps)
+    samples = np.empty((c, schedule.n_samples, p))
+    state = state0
+    kept = 0
+    for i in range(n):
+        state, info = step_fn(state)
+        loss[i] = info.loss
+        log_alpha[i] = info.log_alpha
+        accepted[i] = info.accepted
+        theta_norm[i] = np.sqrt(np.vecdot(state.theta, state.theta))  # run_chain's dot, row by row
+        u_norm[i] = info.u_norm
+        boundary += ~info.proposal_in_prior
+        if i + 1 in wanted:
+            samples[:, kept] = state.theta
+            kept += 1
+    columns = (loss, log_alpha, accepted, theta_norm, u_norm)
+    out = []
+    for j in range(c):
+        record = ChainRecord(
+            *(np.ascontiguousarray(a[:, j]) for a in columns), n_boundary_rejects=int(boundary[j])
+        )
+        _check_finite(record)
+        out.append((EnsembleSummary(samples[j], schedule.sample_steps), record))
+    return out
 
 
 def ensemble_predict(samples: np.ndarray, net: MicroMlp, inputs: np.ndarray):

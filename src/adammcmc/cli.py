@@ -203,7 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     scan_p.add_argument("--config", required=True)
     scan_p.add_argument("--param", required=True, help=f"one of {SCAN_PARAMS}")
     scan_p.add_argument("--grid", required=True, help="comma-separated values")
-    scan_p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    scan_p.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes; each runs its share of the chains in lockstep",
+    )
     scan_p.add_argument("--replicates", type=int, default=3, help="extra seeds per point")
     scan_p.add_argument("--seed", type=int, default=None)
     scan_p.add_argument("--out", default=None)

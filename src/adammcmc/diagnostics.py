@@ -17,7 +17,7 @@ from .experiments import (
     build_experiment,
     ensemble_test_accuracy,
     make_step_fn,
-    run_experiment,
+    run_experiments,
     start_chain,
 )
 from .losses import BatchStream, GibbsTarget
@@ -240,18 +240,15 @@ def _scan_metric(result) -> tuple[float, str]:
     return float(np.abs(sample_var - truth).mean()), "variance_error"
 
 
-def _scan_one(args) -> ScanRow:
-    config, param, value = args
-    result = run_experiment(config)
-    metric, metric_name = _scan_metric(result)
-    return ScanRow(
-        param=param,
-        value=float(value),
-        seed=config.seed,
-        mean_acceptance=result.record.acceptance_rate,
-        metric=metric,
-        metric_name=metric_name,
-    )
+def _scan_group(tasks) -> list[ScanRow]:
+    """The rows of a contiguous share of a scan's (config, param, value)
+    tasks, its chains run by run_experiments."""
+    results = run_experiments([config for config, _, _ in tasks])
+    return [
+        ScanRow(param, float(value), config.seed, result.record.acceptance_rate,
+                *_scan_metric(result))
+        for (config, param, value), result in zip(tasks, results)
+    ]
 
 
 def scan_acceptance(
@@ -262,7 +259,10 @@ def scan_acceptance(
     jobs: int = 1,
 ) -> list[ScanRow]:
     """One desk-scale chain per (grid value, seed): mean acceptance plus a
-    quality metric.  Seeds are the config seed and n_replicates follow-ups."""
+    quality metric.  Seeds are the config seed and n_replicates follow-ups.
+    The chains split into min(jobs, chains) contiguous groups, one per
+    worker process when jobs > 1, and each group's adammcmc chains run in
+    lockstep (run_experiments); every row is the one its chain gives alone."""
     grid = list(grid)
     if not grid:
         raise ConfigError("grid", "scan grid is empty")
@@ -280,15 +280,16 @@ def scan_acceptance(
         for value in grid
         for seed in seeds
     ]
-    if jobs > 1:
-        # a pool loads multiprocessing; serial scans never import it
-        from concurrent.futures import ProcessPoolExecutor
+    if jobs == 1:
+        return _scan_group(tasks)
+    # a pool loads multiprocessing; serial scans never import it
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            rows = list(pool.map(_scan_one, tasks))
-    else:
-        rows = [_scan_one(task) for task in tasks]
-    return rows
+    n = min(jobs, len(tasks))
+    cuts = [len(tasks) * g // n for g in range(n + 1)]
+    with ProcessPoolExecutor(max_workers=n) as pool:
+        groups = pool.map(_scan_group, [tasks[a:b] for a, b in zip(cuts, cuts[1:])])
+        return [row for rows in groups for row in rows]
 
 
 def scan_rows_to_csv(rows: list[ScanRow], path) -> None:

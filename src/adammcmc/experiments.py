@@ -18,6 +18,7 @@ from .chain import (
     NumericalAbort,
     ensemble_predict,
     run_chain,
+    run_chains,
 )
 from .config import ConfigError, RunConfig
 from .losses import (
@@ -34,9 +35,11 @@ from .samplers import (
     ChainState,
     CorrectionParams,
     ProposalParams,
+    RowParams,
     SghmcParams,
     _evaluate,
     adam_step,
+    adammcmc_rows_step,
     adammcmc_step,
     mala_step,
     sgd_step,
@@ -175,15 +178,20 @@ def make_step_fn(experiment: Experiment, batches: BatchStream):
     return step
 
 
-def start_chain(experiment: Experiment, batch_size: int):
-    """A chain's (initial state, step function): the config seed's
+def seed_chain(experiment: Experiment, batch_size: int):
+    """A chain's (initial state, minibatch stream): the config seed's
     SeedSequence spawns the proposal, minibatch and initialization streams."""
     chain_seq, batch_seq, init_seq = np.random.SeedSequence(experiment.config.seed).spawn(3)
     state0 = initial_state(
         experiment, np.random.default_rng(init_seq), np.random.default_rng(chain_seq)
     )
     n_points = experiment.target.oracle.n_points
-    batches = BatchStream(n_points, batch_size, np.random.default_rng(batch_seq))
+    return state0, BatchStream(n_points, batch_size, np.random.default_rng(batch_seq))
+
+
+def start_chain(experiment: Experiment, batch_size: int):
+    """A chain's (initial state, step function), seeded by seed_chain."""
+    state0, batches = seed_chain(experiment, batch_size)
     return state0, make_step_fn(experiment, batches)
 
 
@@ -193,6 +201,70 @@ def run_experiment(config: RunConfig) -> ExperimentResult:
     state0, step_fn = start_chain(experiment, config.batch_size)
     summary, record = run_chain(step_fn, state0, experiment.schedule)
     return ExperimentResult(experiment, summary, record)
+
+
+# the config fields in which chains that run in lockstep may differ
+ROW_FIELDS = ("sigma", "sigma_dir", "beta1", "beta2", "lam", "seed")
+
+
+def run_experiments(configs: list[RunConfig]) -> list[ExperimentResult]:
+    """run_experiment for each config, with the same results.
+
+    Two or more adammcmc configs that differ only in ROW_FIELDS run in
+    lockstep as (C, P) arrays, which spreads numpy's per-call cost over the
+    chains; other configs run one after another.  Errors are the ones the
+    chains raise one after another: a non-finite initial loss raises after
+    the chains before it have run, and a diverged chain raises for the
+    first one in config order.
+    """
+    if len(configs) < 2 or configs[0].sampler != "adammcmc":
+        return [run_experiment(config) for config in configs]
+    shared = [{k: v for k, v in vars(c).items() if k not in ROW_FIELDS} for c in configs]
+    if any(other != shared[0] for other in shared):
+        raise ValueError(f"lockstep configs may differ only in {ROW_FIELDS}")
+    experiments = [build_experiment(config) for config in configs]
+    starts, abort = [], None
+    for experiment in experiments:
+        try:
+            starts.append(seed_chain(experiment, configs[0].batch_size))
+        except NumericalAbort as exc:
+            abort = exc
+            break
+    results = []
+    if starts:
+        state0, step_fn = _lockstep(experiments[: len(starts)], starts)
+        chains = run_chains(step_fn, state0, experiments[0].schedule)
+        results = [ExperimentResult(e, *chain) for e, chain in zip(experiments, chains)]
+    if abort is not None:
+        raise abort
+    return results
+
+
+def _lockstep(experiments: list[Experiment], starts):
+    """The (initial state, step function) of seeded adammcmc chains that
+    share a target and batch size, stepping in lockstep."""
+    states, streams = zip(*starts)
+    configs = [e.config for e in experiments]
+    cps = [correction_params(cfg) for cfg in configs]
+
+    def column(name, rows=configs):
+        return np.array([getattr(row, name) for row in rows], dtype=float)
+
+    full = cps[0] is not None
+    rp = RowParams(
+        column("lam"), column("sigma"), column("sigma_dir", experiments),
+        np.array([column("beta1"), column("beta2")])[..., None],
+        column("s1_sq", cps) if full else None, column("s2_sq", cps) if full else None,
+        float(configs[0].gamma), float(configs[0].delta), experiments[0].target.prior.half_width,
+    )
+    oracle = experiments[0].target.oracle
+    if streams[0].batch_size == 0:
+        def step(state):
+            return adammcmc_rows_step(state, oracle, rp)
+    else:  # the streams cut equal-length batches at every step
+        def step(state):
+            return adammcmc_rows_step(state, oracle, rp, np.array([s.next() for s in streams]))
+    return ChainState.stack(states), step
 
 
 def ensemble_test_accuracy(result: ExperimentResult) -> tuple[float, np.ndarray | None]:

@@ -42,6 +42,19 @@ class LossOracle(ABC):
     def evaluate(self, theta: np.ndarray, indices) -> tuple[float, Callable[[], np.ndarray]]:
         """The loss at theta on the batch, and a callable for the gradient there."""
 
+    def evaluate_rows(self, thetas: np.ndarray, indices):
+        """evaluate on each row of a (C, P) thetas, each row on its row of a
+        (C, B) indices, or all on the full data when indices is None: the
+        (C,) losses, and a callable for the gradients of the rows it is
+        given as an index array (all rows when None).  This loop over
+        evaluate is the reference each override matches bit for bit."""
+        batches = [None] * len(thetas) if indices is None else indices
+        out = [self.evaluate(theta, batch) for theta, batch in zip(thetas, batches)]
+        fns = [fn for _, fn in out]
+        return np.array([loss for loss, _ in out]), lambda rows=None: np.array(
+            [fns[c]() for c in (range(len(fns)) if rows is None else rows)]
+        )
+
     def eval_batch(self, theta: np.ndarray, indices) -> float:
         return self.evaluate(theta, indices)[0]
 
@@ -71,6 +84,12 @@ class QuadraticLoss(LossOracle):
         theta = self.check_theta(theta)
         return 0.5 * float(theta @ theta), theta.copy
 
+    def evaluate_rows(self, thetas, indices):
+        # np.vecdot is each row's theta @ theta
+        return 0.5 * np.vecdot(thetas, thetas), lambda rows=None: (
+            thetas.copy() if rows is None else thetas[rows]
+        )
+
 
 class NoisyQuadraticLoss(LossOracle):
     """Per-point quadratic losses |theta - c_i|^2 / 2 with random centers.
@@ -99,6 +118,22 @@ class NoisyQuadraticLoss(LossOracle):
         if indices is None:
             return loss, lambda: theta - self.center_mean
         return loss, lambda: theta - np.add.reduce(rows, axis=0) / n
+
+    def evaluate_rows(self, thetas, indices):
+        # evaluate's reductions along the same axes, for all chains from one
+        # gather of their (C, B, P) batch rows
+        rows = self.centers[None] if indices is None else self.centers[indices]
+        n = rows.shape[1]
+        diff = thetas[:, None, :] - rows
+        losses = 0.5 * (np.add.reduce(np.add.reduce(diff * diff, axis=2), axis=1) / n)
+
+        def grads(sel=None):
+            at = thetas if sel is None else thetas[sel]
+            if indices is None:
+                return at - self.center_mean
+            return at - np.add.reduce(rows if sel is None else rows[sel], axis=1) / n
+
+        return losses, grads
 
 
 class BananaLoss(LossOracle):

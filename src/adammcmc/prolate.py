@@ -37,6 +37,18 @@ def _safe_norm(x: np.ndarray) -> float:
     return m * math.sqrt(float(scaled @ scaled))
 
 
+def _safe_norm_rows(x: np.ndarray) -> np.ndarray:
+    """_safe_norm of each row of a (C, P) array, to the bit: np.vecdot is
+    np.vdot's dot row by row, and a row outside the window takes the
+    guarded path.  Warns nothing, as _safe_norm does."""
+    with np.errstate(over="ignore"):
+        s = np.vecdot(x, x)
+    norm = np.sqrt(s)
+    for c in np.flatnonzero(~((s >= 1e-290) & (s <= 1e290))):
+        norm[c] = _safe_norm(x[c])
+    return norm
+
+
 def sample(sigma, sigma_dir, d, mean: np.ndarray, rng) -> np.ndarray:
     """Draw mean + sigma*z + sigma_dir*xi*d, z ~ N(0, I), xi ~ N(0, 1).
 
@@ -77,6 +89,16 @@ def log_reverse_ratio(sigma, sigma_dir, d, norm, x: np.ndarray) -> float:
         return 0.0
     along = float(x @ (d / norm))
     return 2.0 * along / (sigma * (sigma / norm) + sigma_dir * (sigma_dir * norm))
+
+
+def log_reverse_ratio_rows(sigma, sigma_dir, d, norm, x: np.ndarray) -> np.ndarray:
+    """log_reverse_ratio of each row: (C,) sigma, sigma_dir and norm, (C, P)
+    d and x.  Rows whose norm is 0, infinite or NaN get 0; run it under
+    np.errstate(invalid="ignore", divide="ignore"), since those rows are
+    computed before the mask drops them."""
+    along = np.vecdot(x, d / norm[:, None])
+    ratio = 2.0 * along / (sigma * (sigma / norm) + sigma_dir * (sigma_dir * norm))
+    return np.where((norm > 0.0) & (norm < math.inf), ratio, 0.0)
 
 
 def inv_quad_form(sigma, sigma_dir, d, norm, x: np.ndarray) -> float:

@@ -103,7 +103,9 @@ class Evaluation:
 @dataclass
 class ChainState:
     """One chain's position, momenta, step counter, current-point evaluation
-    and RNG."""
+    and RNG.  The state of C chains in lockstep (see stack) holds (C, P)
+    positions and momenta, an Evaluation of (C,) losses and prior flags, and
+    the list of the C chains' generators."""
 
     theta: np.ndarray
     momenta: Momenta
@@ -115,6 +117,21 @@ class ChainState:
     def init(cls, theta0: np.ndarray, rng) -> "ChainState":
         theta0 = np.asarray(theta0, dtype=float)
         return cls(theta0.copy(), Momenta.zeros(theta0.size), 0, None, np.random.default_rng(rng))
+
+    @classmethod
+    def stack(cls, states: list["ChainState"]) -> "ChainState":
+        """C evaluated one-chain states at one step as one lockstep state,
+        each current gradient taken when first asked for."""
+        cur = [s.current for s in states]
+        current = Evaluation(
+            np.array([e.loss for e in cur]), np.array([e.inside for e in cur]), cur[0].full,
+            lambda: np.array([e.grad() for e in cur]),
+        )
+        momenta = Momenta(
+            np.array([s.momenta.m1 for s in states]), np.array([s.momenta.m2 for s in states])
+        )
+        theta = np.array([s.theta for s in states])
+        return cls(theta, momenta, states[0].step, current, [s.rng for s in states])
 
 
 @dataclass(slots=True)
@@ -345,6 +362,103 @@ def adammcmc_log_alpha(
         target.lam, pp, u, norm, u, norm, theta, tau, _evaluate(target, theta, None),
         _evaluate(target, tau, None), m_next, cp,
     )
+
+
+@dataclass(frozen=True)
+class RowParams:
+    """The knobs of C adam-drift chains in lockstep: per chain, (C,) arrays
+    of lam, sigma, sigma_dir and the full correction's s_1^2, s_2^2 (None
+    for the unit one), and beta1, beta2 as a (2, C, 1) array; gamma, delta
+    and the prior half-width are shared."""
+
+    lam: np.ndarray
+    sigma: np.ndarray
+    sigma_dir: np.ndarray
+    beta: np.ndarray
+    s1_sq: np.ndarray | None
+    s2_sq: np.ndarray | None
+    gamma: float
+    delta: float
+    half_width: float
+
+
+def adammcmc_rows_step(state: ChainState, oracle: LossOracle, rp: RowParams, batch=None):
+    """adammcmc_step's adam drift for C chains in lockstep, one chain a row.
+
+    state is a ChainState.stack state and batch a (C, B) index array or
+    None.  Each row gets the bits adammcmc_step gives its chain: each chain
+    draws from its own generator in the one-chain order, every reduction is
+    that step's dot product row by row (np.vecdot), each bias correction is
+    a Python float ** int, and the branches of _safe_norm, log_reverse_ratio
+    and _finish_log_alpha become masks.  Returns the new state and a
+    StepInfo of (C,) arrays.  A rejected proposal's gradient is taken only
+    for the full correction.
+    """
+    theta, t = state.theta, state.step + 1
+    c, p = theta.shape
+    cur = state.current
+    if batch is not None:
+        loss, grad_fn = oracle.evaluate_rows(theta, batch)
+        cur = Evaluation(loss, cur.inside, False, grad_fn)
+    g = cur.grad()
+    beta1, beta2 = rp.beta
+    m1 = beta1 * state.momenta.m1 + (1.0 - beta1) * g
+    m2 = beta2 * state.momenta.m2 + (1.0 - beta2) * g * g
+    bias1, bias2 = np.array([1.0 - b**t for b in rp.beta.ravel().tolist()]).reshape(rp.beta.shape)
+    u = rp.gamma * (m1 / bias1) / (np.sqrt(np.abs(m2) / bias2) + rp.delta)
+    norm = prolate._safe_norm_rows(u)
+
+    # per chain: P normals, the directional one only when sigma_dir > 0, then
+    # the accept test's uniform
+    z = np.empty((c, p + 1))
+    stretched = rp.sigma_dir > 0.0
+    for rng, row, extra in zip(state.rng, z, stretched.tolist()):
+        rng.standard_normal(out=row[: p + extra])
+    log_u = np.log([rng.random() for rng in state.rng])
+    tau = (theta - u) + rp.sigma[:, None] * z[:, :p]
+    tau[stretched] += (rp.sigma_dir[stretched] * z[stretched, p])[:, None] * u[stretched]
+
+    loss_p, grad_p = oracle.evaluate_rows(tau, batch)
+    in_p = np.abs(tau).max(axis=1) <= rp.half_width
+    x = tau - theta
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        log_bwd = prolate.log_reverse_ratio_rows(rp.sigma, rp.sigma_dir, u, norm, x)
+        log_c = 0.0
+        if rp.s1_sq is not None:
+            g_tau = grad_p()
+            levels = ((m1, g, g_tau, rp.s1_sq), (m2, g * g, g_tau * g_tau, rp.s2_sq))
+            for m, at_theta, at_tau, s_sq in levels:  # log_correction, row by row
+                d_tau, d_theta = m - at_tau, m - at_theta
+                gap = np.vecdot(d_theta, d_theta) - np.vecdot(d_tau, d_tau)
+                log_c = log_c + gap / (2.0 * s_sq)
+        delta = -rp.lam * (loss_p - cur.loss) + log_bwd + log_c
+    # _finish_log_alpha: min(0.0, delta) keeps 0.0 for delta = -0.0
+    log_alpha = np.where(delta < 0.0, delta, np.where(np.isnan(delta), -np.inf, 0.0))
+    log_alpha = np.where(cur.inside, log_alpha, 0.0)
+    log_alpha[~(in_p & np.isfinite(loss_p))] = -np.inf
+
+    accepted = log_u <= log_alpha
+    new_loss = np.where(accepted, loss_p, cur.loss)
+    new_inside = np.where(accepted, in_p, cur.inside)
+    if batch is not None:
+        new = Evaluation(new_loss, new_inside, False, None)
+    elif rp.s1_sq is not None:
+        new = Evaluation(new_loss, new_inside, True, None, np.where(accepted[:, None], g_tau, g))
+    else:
+        new = Evaluation(new_loss, new_inside, True, lambda: _take_rows(g, accepted, grad_p))
+    new_state = ChainState(
+        np.where(accepted[:, None], tau, theta), Momenta(m1, m2), t, new, state.rng
+    )
+    return new_state, StepInfo(accepted, log_alpha, new_loss, norm, in_p)
+
+
+def _take_rows(g: np.ndarray, rows: np.ndarray, grad_rows) -> np.ndarray:
+    """g with the masked rows replaced by grad_rows' gradients there."""
+    g = g.copy()
+    sel = np.flatnonzero(rows)
+    if sel.size:
+        g[sel] = grad_rows(sel)
+    return g
 
 
 def _optimizer_step(state: ChainState, oracle: LossOracle, batch, move):

@@ -2,7 +2,6 @@
 
 import cProfile
 import hashlib
-import pstats
 
 import numpy as np
 import pytest
@@ -10,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adammcmc import samplers
-from adammcmc.chain import run_chain
+from adammcmc.chain import run_chain, run_chains
 from adammcmc.config import RunConfig
 from adammcmc.diagnostics import BALANCE_POINT_SCALE, _dense_gaussian_logpdf
-from adammcmc.experiments import build_experiment, start_chain
+from adammcmc.experiments import _lockstep, build_experiment, seed_chain, start_chain
 from adammcmc.losses import (
     BananaLoss,
     GibbsTarget,
@@ -876,16 +875,23 @@ def test_random_draws_the_uniform_stream():
     assert a.uniform(size=50_000).tobytes() == b.random(50_000).tobytes()
 
 
-def python_calls_per_step(config):
-    """cProfile's count of Python-level calls per step of config's chain,
-    run_chain's bookkeeping included: a step's cost without the host's noise."""
-    experiment = build_experiment(config)
-    state0, step_fn = start_chain(experiment, config.batch_size)
+def python_calls(run) -> int:
+    """cProfile's exact count of the Python-level calls run() makes: the sum
+    over its code objects.  pstats would merge every dataclass-generated
+    __init__ into one ("<string>", 2, "__init__") entry and keep one count."""
     profile = cProfile.Profile()
     profile.enable()
-    run_chain(step_fn, state0, experiment.schedule)
+    run()
     profile.disable()
-    return pstats.Stats(profile).total_calls / config.steps
+    return sum(entry.callcount for entry in profile.getstats())
+
+
+def python_calls_per_step(config):
+    """Python-level calls per step of config's chain, run_chain's bookkeeping
+    included: a step's cost without the host's noise."""
+    experiment = build_experiment(config)
+    state0, step_fn = start_chain(experiment, config.batch_size)
+    return python_calls(lambda: run_chain(step_fn, state0, experiment.schedule)) / config.steps
 
 
 def test_adam_step_python_calls():
@@ -894,7 +900,7 @@ def test_adam_step_python_calls():
         target="quadratic", dim=2, sampler="adammcmc", lam=1.0, gamma=0.01, sigma=0.3,
         sigma_dir=10.0, beta1=0.99, beta2=0.99, steps=500, burn_in=0, gap=50, n_samples=10,
     )
-    assert python_calls_per_step(config) <= 31
+    assert python_calls_per_step(config) <= 34
 
 
 def test_minibatch_noisy_step_python_calls():
@@ -905,3 +911,21 @@ def test_minibatch_noisy_step_python_calls():
         sigma_dir=10.0, batch_size=32, steps=500, burn_in=0, gap=50, n_samples=10,
     )
     assert python_calls_per_step(config) <= 48
+
+
+def test_lockstep_scan_python_calls_per_chain_step():
+    # the benchmark's scan: 4 sigmas x 4 seeds of the noisy quadratic, P=16,
+    # batch 32, as one 16-chain lockstep group; the per-chain draws and
+    # batch streams stay per chain, the numpy work is shared by the rows
+    base = RunConfig(
+        target="noisy_quadratic", dim=16, sampler="adammcmc", lam=0.5, gamma=0.01, sigma=0.7,
+        sigma_dir=2.0, beta1=0.99, beta2=0.99, batch_size=32, steps=1000, burn_in=500, gap=50,
+        n_samples=10,
+    )
+    experiments = [
+        build_experiment(base.replace(sigma=sigma, seed=seed))
+        for sigma in (0.0875, 0.175, 0.35, 0.7) for seed in range(4)
+    ]
+    state0, step_fn = _lockstep(experiments, [seed_chain(e, base.batch_size) for e in experiments])
+    calls = python_calls(lambda: run_chains(step_fn, state0, experiments[0].schedule))
+    assert calls / (len(experiments) * base.steps) <= 8
