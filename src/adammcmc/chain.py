@@ -4,7 +4,6 @@ and ensemble prediction with quantile spread."""
 from __future__ import annotations
 
 import csv
-import math
 import time
 from dataclasses import dataclass
 
@@ -61,11 +60,11 @@ class ChainRecord:
     CSV serialization has the fixed columns (step, loss, log_alpha,
     accepted, theta_norm, u_norm); wall-clock timings stay in memory only,
     as float32, so records are byte-stable across reruns.  Records of
-    chains run in lockstep (run_chains) carry step_seconds=None, because
-    one lockstep step times all C chains at once.  Every CSV in
-    the package is written from Python floats and ints, and csv writes a
-    Python float as its repr: the shortest text that reads back to the same
-    double, so a written file loads back bit for bit.
+    chains run in lockstep (run_chain over a ChainState.stack state) carry
+    step_seconds=None, because one lockstep step times all C chains at once.
+    Every CSV in the package is written from Python floats and ints, and csv
+    writes a Python float as its repr: the shortest text that reads back to
+    the same double, so a written file loads back bit for bit.
     """
 
     loss: np.ndarray
@@ -137,44 +136,51 @@ def run_chain(step_fn, state0: ChainState, schedule: ChainSchedule):
     """Drive a step function for total_steps steps, retaining thinned samples.
 
     step_fn maps ChainState -> (ChainState, StepInfo).  Returns
-    (EnsembleSummary, ChainRecord); oracle hard errors propagate, soft
-    numerical rejects are already folded into the infos by the samplers.
-    Raises NumericalAbort, naming the first bad step, when a position norm
-    or a logged loss is not finite.
+    (EnsembleSummary, ChainRecord) for a one-chain state; for a
+    ChainState.stack state, whose step_fn returns StepInfos of (C,) arrays,
+    it returns each chain's pair in row order, the records without
+    step_seconds.  Oracle hard errors propagate, soft numerical rejects are
+    already folded into the infos by the samplers.  Raises NumericalAbort,
+    naming the first bad step of the first chain that has one, when a
+    position norm or a logged loss is not finite.
     """
     n = schedule.total_steps
-    record = ChainRecord(
-        loss=np.empty(n),
-        log_alpha=np.empty(n),
-        accepted=np.zeros(n, dtype=bool),
-        theta_norm=np.empty(n),
-        u_norm=np.empty(n),
-        step_seconds=np.empty(n, dtype=np.float32),
-    )
+    lead = state0.theta.shape[:-1]
+    loss, log_alpha, theta_norm, u_norm = (np.empty((n,) + lead) for _ in range(4))
+    accepted, in_prior = (np.empty((n,) + lead, dtype=bool) for _ in range(2))
+    step_seconds = np.empty(n, dtype=np.float32)
     wanted = set(schedule.sample_steps)
-    samples = np.empty((schedule.n_samples, state0.theta.size))
+    samples = np.empty((schedule.n_samples,) + state0.theta.shape)
     state = state0
     kept = 0
-    boundary = 0
-    for k in range(1, n + 1):
+    for i in range(n):
         t0 = time.perf_counter()
         state, info = step_fn(state)
-        record.step_seconds[k - 1] = time.perf_counter() - t0
-        i = k - 1
-        record.loss[i] = info.loss
-        record.log_alpha[i] = info.log_alpha
-        record.accepted[i] = info.accepted
-        theta = state.theta
-        record.theta_norm[i] = math.sqrt(float(theta @ theta))  # np.linalg.norm's arithmetic
-        record.u_norm[i] = info.u_norm
-        if not info.proposal_in_prior:
-            boundary += 1
-        if k in wanted:
+        step_seconds[i] = time.perf_counter() - t0
+        loss[i] = info.loss
+        log_alpha[i] = info.log_alpha
+        accepted[i] = info.accepted
+        theta_norm[i] = np.sqrt(np.vecdot(state.theta, state.theta))  # np.linalg.norm's arithmetic
+        u_norm[i] = info.u_norm
+        in_prior[i] = info.proposal_in_prior
+        if i + 1 in wanted:
             samples[kept] = state.theta
             kept += 1
-    record.n_boundary_rejects = boundary
-    _check_finite(record)
-    summary = EnsembleSummary(samples=samples, sample_steps=schedule.sample_steps)
+    boundary = (~in_prior).sum(axis=0).reshape(-1)
+    columns = [a.reshape(n, -1) for a in (loss, log_alpha, accepted, theta_norm, u_norm)]
+    samples = samples.reshape(schedule.n_samples, -1, samples.shape[-1])
+    chains = []
+    for j in range(boundary.size):
+        record = ChainRecord(
+            *[np.ascontiguousarray(a[:, j]) for a in columns], n_boundary_rejects=int(boundary[j])
+        )
+        _check_finite(record)
+        summary = EnsembleSummary(np.ascontiguousarray(samples[:, j]), schedule.sample_steps)
+        chains.append((summary, record))
+    if lead:
+        return chains
+    summary, record = chains[0]
+    record.step_seconds = step_seconds
     return summary, record
 
 
@@ -186,44 +192,6 @@ def _check_finite(record: ChainRecord) -> None:
             f"chain diverged at step {i + 1}: |theta| = {float(record.theta_norm[i])}, "
             f"loss = {float(record.loss[i])}"
         )
-
-
-def run_chains(step_fn, state0: ChainState, schedule: ChainSchedule):
-    """run_chain for C chains in lockstep: state0 is a ChainState.stack
-    state, and step_fn returns StepInfos of (C,) arrays.  Returns each
-    chain's (EnsembleSummary, ChainRecord) as run_chain returns it, the
-    records without step_seconds.  Raises run_chain's NumericalAbort for
-    the first row that diverged.
-    """
-    n = schedule.total_steps
-    c, p = state0.theta.shape
-    loss, log_alpha, theta_norm, u_norm = (np.empty((n, c)) for _ in range(4))
-    accepted = np.zeros((n, c), dtype=bool)
-    boundary = np.zeros(c, dtype=int)
-    wanted = set(schedule.sample_steps)
-    samples = np.empty((c, schedule.n_samples, p))
-    state = state0
-    kept = 0
-    for i in range(n):
-        state, info = step_fn(state)
-        loss[i] = info.loss
-        log_alpha[i] = info.log_alpha
-        accepted[i] = info.accepted
-        theta_norm[i] = np.sqrt(np.vecdot(state.theta, state.theta))  # run_chain's dot, row by row
-        u_norm[i] = info.u_norm
-        boundary += ~info.proposal_in_prior
-        if i + 1 in wanted:
-            samples[:, kept] = state.theta
-            kept += 1
-    columns = (loss, log_alpha, accepted, theta_norm, u_norm)
-    out = []
-    for j in range(c):
-        record = ChainRecord(
-            *(np.ascontiguousarray(a[:, j]) for a in columns), n_boundary_rejects=int(boundary[j])
-        )
-        _check_finite(record)
-        out.append((EnsembleSummary(samples[j], schedule.sample_steps), record))
-    return out
 
 
 def ensemble_predict(samples: np.ndarray, net: MicroMlp, inputs: np.ndarray):

@@ -18,7 +18,6 @@ from .chain import (
     NumericalAbort,
     ensemble_predict,
     run_chain,
-    run_chains,
 )
 from .config import ConfigError, RunConfig
 from .losses import (
@@ -233,7 +232,7 @@ def run_experiments(configs: list[RunConfig]) -> list[ExperimentResult]:
     results = []
     if starts:
         state0, step_fn = _lockstep(experiments[: len(starts)], starts)
-        chains = run_chains(step_fn, state0, experiments[0].schedule)
+        chains = run_chain(step_fn, state0, experiments[0].schedule)
         results = [ExperimentResult(e, *chain) for e, chain in zip(experiments, chains)]
     if abort is not None:
         raise abort
@@ -253,7 +252,7 @@ def _lockstep(experiments: list[Experiment], starts):
     full = cps[0] is not None
     rp = RowParams(
         column("lam"), column("sigma"), column("sigma_dir", experiments),
-        np.array([column("beta1"), column("beta2")])[..., None],
+        column("beta1")[:, None], column("beta2")[:, None],
         column("s1_sq", cps) if full else None, column("s2_sq", cps) if full else None,
         float(configs[0].gamma), float(configs[0].delta), experiments[0].target.prior.half_width,
     )

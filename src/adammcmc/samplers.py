@@ -179,7 +179,7 @@ def log_correction(
     for m_l, power, s_sq in ((m_next.m1, 1, cp.s1_sq), (m_next.m2, 2, cp.s2_sq)):
         d_tau = m_l - grad_tau**power
         d_theta = m_l - grad_theta**power
-        total += (float(d_theta @ d_theta) - float(d_tau @ d_tau)) / (2.0 * s_sq)
+        total += (np.vecdot(d_theta, d_theta) - np.vecdot(d_tau, d_tau)) / (2.0 * s_sq)
     return total
 
 
@@ -339,7 +339,7 @@ def _adam_log_alpha(
     log_c = 0.0
     if cp is not None:
         with np.errstate(invalid="ignore", over="ignore"):
-            log_c = log_correction(m_next, cur.grad(), prop.grad(), cp)
+            log_c = float(log_correction(m_next, cur.grad(), prop.grad(), cp))
     return _finish_log_alpha(
         lam, cur.loss, prop.loss, cur.inside, prop.inside, log_fwd, log_bwd, log_c
     )
@@ -368,13 +368,15 @@ def adammcmc_log_alpha(
 class RowParams:
     """The knobs of C adam-drift chains in lockstep: per chain, (C,) arrays
     of lam, sigma, sigma_dir and the full correction's s_1^2, s_2^2 (None
-    for the unit one), and beta1, beta2 as a (2, C, 1) array; gamma, delta
-    and the prior half-width are shared."""
+    for the unit one), and beta1, beta2 as (C, 1) columns; gamma, delta and
+    the prior half-width are shared.  It stands in for AdamParams in
+    adam_momentum_update and for CorrectionParams in log_correction."""
 
     lam: np.ndarray
     sigma: np.ndarray
     sigma_dir: np.ndarray
-    beta: np.ndarray
+    beta1: np.ndarray
+    beta2: np.ndarray
     s1_sq: np.ndarray | None
     s2_sq: np.ndarray | None
     gamma: float
@@ -401,11 +403,11 @@ def adammcmc_rows_step(state: ChainState, oracle: LossOracle, rp: RowParams, bat
         loss, grad_fn = oracle.evaluate_rows(theta, batch)
         cur = Evaluation(loss, cur.inside, False, grad_fn)
     g = cur.grad()
-    beta1, beta2 = rp.beta
-    m1 = beta1 * state.momenta.m1 + (1.0 - beta1) * g
-    m2 = beta2 * state.momenta.m2 + (1.0 - beta2) * g * g
-    bias1, bias2 = np.array([1.0 - b**t for b in rp.beta.ravel().tolist()]).reshape(rp.beta.shape)
-    u = rp.gamma * (m1 / bias1) / (np.sqrt(np.abs(m2) / bias2) + rp.delta)
+    m_next = adam_momentum_update(state.momenta, g, rp)
+    betas = zip(rp.beta1.tolist(), rp.beta2.tolist())
+    bias = np.array([(1.0 - b1**t, 1.0 - b2**t) for (b1,), (b2,) in betas])
+    bias1, bias2 = bias[:, :1], bias[:, 1:]
+    u = rp.gamma * (m_next.m1 / bias1) / (np.sqrt(np.abs(m_next.m2) / bias2) + rp.delta)
     norm = prolate._safe_norm_rows(u)
 
     # per chain: P normals, the directional one only when sigma_dir > 0, then
@@ -426,11 +428,7 @@ def adammcmc_rows_step(state: ChainState, oracle: LossOracle, rp: RowParams, bat
         log_c = 0.0
         if rp.s1_sq is not None:
             g_tau = grad_p()
-            levels = ((m1, g, g_tau, rp.s1_sq), (m2, g * g, g_tau * g_tau, rp.s2_sq))
-            for m, at_theta, at_tau, s_sq in levels:  # log_correction, row by row
-                d_tau, d_theta = m - at_tau, m - at_theta
-                gap = np.vecdot(d_theta, d_theta) - np.vecdot(d_tau, d_tau)
-                log_c = log_c + gap / (2.0 * s_sq)
+            log_c = log_correction(m_next, g, g_tau, rp)
         delta = -rp.lam * (loss_p - cur.loss) + log_bwd + log_c
     # _finish_log_alpha: min(0.0, delta) keeps 0.0 for delta = -0.0
     log_alpha = np.where(delta < 0.0, delta, np.where(np.isnan(delta), -np.inf, 0.0))
@@ -447,7 +445,7 @@ def adammcmc_rows_step(state: ChainState, oracle: LossOracle, rp: RowParams, bat
     else:
         new = Evaluation(new_loss, new_inside, True, lambda: _take_rows(g, accepted, grad_p))
     new_state = ChainState(
-        np.where(accepted[:, None], tau, theta), Momenta(m1, m2), t, new, state.rng
+        np.where(accepted[:, None], tau, theta), m_next, t, new, state.rng
     )
     return new_state, StepInfo(accepted, log_alpha, new_loss, norm, in_p)
 

@@ -1,5 +1,7 @@
 """Schedules, sample retention, records and ensemble quantile spread."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from adammcmc.chain import (
     save_samples_csv,
 )
 from adammcmc.mlp import MicroMlp
-from adammcmc.samplers import ChainState, StepInfo
+from adammcmc.samplers import ChainState, Momenta, StepInfo
 
 
 def make_stub_step(thetas=None, accept=True):
@@ -116,6 +118,88 @@ class TestRunChain:
         state0 = ChainState.init(path[0], 0)
         with pytest.raises(NumericalAbort, match="step 2"):
             run_chain(make_stub_step(path), state0, ChainSchedule(5, 0, 1, 1))
+
+
+def make_walk_step(path, scale, outside=(), flag=bool):
+    """One chain's stub: walks through path, logs columns scaled by scale,
+    accepts on even steps, and reports the proposals of the steps in outside
+    as outside the prior, with flags of type flag."""
+
+    def step(state):
+        k = state.step + 1
+        theta = np.asarray(path[min(k, len(path) - 1)], dtype=float)
+        new = ChainState(theta, state.momenta, k, None, state.rng)
+        return new, StepInfo(k % 2 == 0, -scale * k, scale * k, scale / k, flag(k not in outside))
+
+    return step
+
+
+def lockstep(step_fns):
+    """The step of one-chain steps in lockstep: row j moves by step_fns[j],
+    and the infos come back as (C,) arrays."""
+
+    def step(state):
+        moved = [
+            fn(ChainState(theta, state.momenta, state.step, None, state.rng))
+            for fn, theta in zip(step_fns, state.theta)
+        ]
+        thetas = np.array([s.theta for s, _ in moved])
+        columns = [np.array([getattr(info, f.name) for _, info in moved])
+                   for f in dataclasses.fields(StepInfo)]
+        new = ChainState(thetas, state.momenta, state.step + 1, None, state.rng)
+        return new, StepInfo(*columns)
+
+    return step
+
+
+def stacked_state(paths):
+    thetas = np.array([path[0] for path in paths], dtype=float)
+    return ChainState(thetas, Momenta.zeros(thetas.shape[1]), 0, None, [None] * len(paths))
+
+
+RECORD_COLUMNS = ("loss", "log_alpha", "accepted", "theta_norm", "u_norm")
+
+
+class TestRunChainStacked:
+    @pytest.mark.parametrize("n_chains", [1, 3])
+    def test_each_row_is_the_chain_run_alone(self, n_chains):
+        rng = np.random.default_rng(5)
+        paths = [rng.standard_normal((41, 4)) * 10.0 ** j for j in range(n_chains)]
+        outsides = [{3, 8, 9}, set(), {1, 40}][:n_chains]
+        steps = [make_walk_step(p, j + 1.5, o) for j, (p, o) in enumerate(zip(paths, outsides))]
+        sched = ChainSchedule(40, 10, 5, 6)
+        chains = run_chain(lockstep(steps), stacked_state(paths), sched)
+        assert len(chains) == n_chains
+        for path, outside, step, (summary, record) in zip(paths, outsides, steps, chains):
+            alone_summary, alone = run_chain(step, ChainState.init(path[0], 0), sched)
+            for name in RECORD_COLUMNS:
+                got, want = getattr(record, name), getattr(alone, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            assert summary.samples.tobytes() == alone_summary.samples.tobytes()
+            assert summary.sample_steps == alone_summary.sample_steps
+            assert record.n_boundary_rejects == alone.n_boundary_rejects == len(outside)
+            assert record.step_seconds is None
+            assert alone.step_seconds.dtype == np.float32
+            assert alone.step_seconds.shape == (40,)
+
+    @pytest.mark.parametrize("flag", [bool, np.bool_])
+    def test_boundary_rejects_count_python_and_numpy_flags(self, flag):
+        path = np.zeros((2, 3))
+        step = make_walk_step(path, 1.0, outside={2, 5, 6}, flag=flag)
+        _, record = run_chain(step, ChainState.init(path[0], 0), ChainSchedule(10, 0, 1, 10))
+        assert record.n_boundary_rejects == 3
+        chains = run_chain(lockstep([step, step]), stacked_state([path, path]),
+                           ChainSchedule(10, 0, 1, 10))
+        assert [r.n_boundary_rejects for _, r in chains] == [3, 3]
+
+    def test_first_diverged_row_aborts_at_its_step(self):
+        # row 2 diverges first in time, but row 1 comes first in row order
+        paths = [np.ones((9, 2)), np.ones((9, 2)), np.ones((9, 2))]
+        paths[1][4:] = np.inf
+        paths[2][2:] = np.nan
+        steps = [make_walk_step(p, 1.0) for p in paths]
+        with pytest.raises(NumericalAbort, match="step 4:"):
+            run_chain(lockstep(steps), stacked_state(paths), ChainSchedule(8, 0, 1, 8))
 
 
 class TestRecordCsv:

@@ -1,7 +1,7 @@
-"""Chains in lockstep: run_chains over adammcmc_rows_step gives every chain
-the bytes run_chain gives it alone, on every target, scan parameter and
-correction, and scan_acceptance's groups raise the errors the chains raise
-one after another."""
+"""Chains in lockstep: run_chain over a ChainState.stack state and
+adammcmc_rows_step gives every chain the bytes run_chain gives it alone, on
+every target, scan parameter and correction, and scan_acceptance's groups
+raise the errors the chains raise one after another."""
 
 import math
 import multiprocessing
@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adammcmc import experiments
-from adammcmc.chain import NumericalAbort, run_chains
+from adammcmc.chain import NumericalAbort, run_chain
 from adammcmc.config import RunConfig
 from adammcmc.diagnostics import SCAN_PARAMS, _scan_group, apply_scan_value, scan_acceptance
 from adammcmc.experiments import _lockstep, build_experiment, run_experiment, seed_chain
@@ -104,7 +104,7 @@ class TestBitIdentity:
         configs = [config for config, _, _ in tasks]
         built = [build_experiment(config) for config in configs]
         state0, step_fn = _lockstep(built, [seed_chain(e, configs[0].batch_size) for e in built])
-        lockstep = run_chains(step_fn, state0, built[0].schedule)
+        lockstep = run_chain(step_fn, state0, built[0].schedule)
         for config, (summary, record) in zip(configs, lockstep):
             alone = run_experiment(config)
             for name in COLUMNS:
