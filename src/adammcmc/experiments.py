@@ -140,6 +140,7 @@ def make_step_fn(experiment: Experiment, batches: BatchStream):
 
     Within one step the same minibatch feeds the proposal gradient and both
     loss evaluations of the accept test; batches are resampled across steps.
+    A full-batch step passes batch=None and leaves the stream alone.
     """
     cfg = experiment.config
     target = experiment.target
@@ -147,32 +148,34 @@ def make_step_fn(experiment: Experiment, batches: BatchStream):
     ap = AdamParams(cfg.gamma, cfg.beta1, cfg.beta2, cfg.delta)
     pp = ProposalParams(cfg.sigma, experiment.sigma_dir)
     cp = correction_params(cfg)
+    full = batches.batch_size == 0
 
     if cfg.sampler == "adammcmc":
 
         def step(state):
-            return adammcmc_step(state, target, ap, pp, cp, batch=batches.next())
+            return adammcmc_step(state, target, ap, pp, cp, batch=None if full else batches.next())
 
     elif cfg.sampler == "mala":
 
         def step(state):
-            return mala_step(state, target, cfg.gamma, cfg.sigma, batch=batches.next())
+            batch = None if full else batches.next()
+            return mala_step(state, target, cfg.gamma, cfg.sigma, batch=batch)
 
     elif cfg.sampler == "adam":
 
         def step(state):
-            return adam_step(state, oracle, ap, batch=batches.next())
+            return adam_step(state, oracle, ap, batch=None if full else batches.next())
 
     elif cfg.sampler == "sgd":
 
         def step(state):
-            return sgd_step(state, oracle, cfg.gamma, batch=batches.next())
+            return sgd_step(state, oracle, cfg.gamma, batch=None if full else batches.next())
 
     else:  # sghmc
         sp = SghmcParams(cfg.gamma, cfg.friction, cfg.noise_scale)
 
         def step(state):
-            return sghmc_step(state, oracle, sp, batch=batches.next())
+            return sghmc_step(state, oracle, sp, batch=None if full else batches.next())
 
     return step
 
@@ -260,9 +263,11 @@ def _lockstep(experiments: list[Experiment], starts):
     if streams[0].batch_size == 0:
         def step(state):
             return adammcmc_rows_step(state, oracle, rp)
-    else:  # the streams cut equal-length batches at every step
+    else:  # one stream cuts the chains' equal-length batches as (C, B) arrays
+        batches = BatchStream(streams[0].n, streams[0].batch_size, [s.rng for s in streams])
+
         def step(state):
-            return adammcmc_rows_step(state, oracle, rp, np.array([s.next() for s in streams]))
+            return adammcmc_rows_step(state, oracle, rp, batches.next())
     return ChainState.stack(states), step
 
 

@@ -18,6 +18,11 @@ import numpy as np
 from .mlp import MicroMlp
 
 
+class Gathered(tuple):
+    """The data rows of a minibatch, as an oracle's batch() gathers them for
+    evaluate and evaluate_rows; a tuple, so building one runs no Python code."""
+
+
 class LossOracle(ABC):
     """Loss value + gradient provider with minibatch estimates.
 
@@ -29,6 +34,12 @@ class LossOracle(ABC):
     used as they are, uncopied, and give the same bits as the batch path on
     arange(n_points), so batch_size = n reproduces full evaluations bit for
     bit.
+
+    A step that evaluates two points on one batch gathers it once:
+    `batch(indices)` returns a handle that evaluate (for a 1-D index array)
+    and evaluate_rows (for a (C, B) one) take in place of the indices, with
+    the bits the indices give.  An oracle without data rows returns the
+    indices themselves; one with data returns them gathered, as a Gathered.
     """
 
     dim: int
@@ -42,12 +53,18 @@ class LossOracle(ABC):
     def evaluate(self, theta: np.ndarray, indices) -> tuple[float, Callable[[], np.ndarray]]:
         """The loss at theta on the batch, and a callable for the gradient there."""
 
+    def batch(self, indices):
+        """The handle of a 1-D or (C, B) index array that evaluate or
+        evaluate_rows takes in its place: the indices themselves here."""
+        return indices
+
     def evaluate_rows(self, thetas: np.ndarray, indices):
         """evaluate on each row of a (C, P) thetas, each row on its row of a
-        (C, B) indices, or all on the full data when indices is None: the
-        (C,) losses, and a callable for the gradients of the rows it is
-        given as an index array (all rows when None).  This loop over
-        evaluate is the reference each override matches bit for bit."""
+        (C, B) indices (or of their batch() handle, one handle a row), or all
+        on the full data when indices is None: the (C,) losses, and a
+        callable for the gradients of the rows it is given as an index array
+        (all rows when None).  This loop over evaluate is the reference each
+        override matches bit for bit."""
         batches = [None] * len(thetas) if indices is None else indices
         out = [self.evaluate(theta, batch) for theta, batch in zip(thetas, batches)]
         fns = [fn for _, fn in out]
@@ -106,32 +123,48 @@ class NoisyQuadraticLoss(LossOracle):
         self.centers = center_scale * rng.standard_normal((n_points, dim))
         self.center_mean = self.centers.mean(axis=0)
 
+    def batch(self, indices):
+        # a (C, B) index array gathers as (B, C, P), so that each chain's
+        # batch mean is a reduction over the leading axis, as for one chain;
+        # take copies the rows that fancy indexing would, in less time
+        return Gathered((self.centers.take(np.asarray(indices).T, axis=0),))
+
     def evaluate(self, theta, indices):
         # the loss and the gradient share one gather of the batch rows; each
         # mean is np.mean's own arithmetic (a pairwise add.reduce, then one
         # true divide by the count) without its Python wrappers
         theta = self.check_theta(theta)
-        rows = self.centers if indices is None else self.centers[np.asarray(indices)]
+        if indices is None:
+            rows = self.centers
+        else:
+            rows = (indices if type(indices) is Gathered else self.batch(indices))[0]
         n = rows.shape[0]
-        diff = theta - rows
-        loss = 0.5 * float(np.add.reduce(np.add.reduce(diff * diff, axis=1)) / n)
+        sq = theta - rows
+        sq *= sq
+        loss = 0.5 * float(np.add.reduce(np.add.reduce(sq, axis=1)) / n)
         if indices is None:
             return loss, lambda: theta - self.center_mean
         return loss, lambda: theta - np.add.reduce(rows, axis=0) / n
 
     def evaluate_rows(self, thetas, indices):
-        # evaluate's reductions along the same axes, for all chains from one
-        # gather of their (C, B, P) batch rows
-        rows = self.centers[None] if indices is None else self.centers[indices]
-        n = rows.shape[1]
-        diff = thetas[:, None, :] - rows
-        losses = 0.5 * (np.add.reduce(np.add.reduce(diff * diff, axis=2), axis=1) / n)
+        # evaluate's reductions, for all chains from one (B, C, P) gather of
+        # their batch rows; the (B, C) squared distances are summed as (C, B)
+        # rows, pairwise along each batch as evaluate sums its (B,) ones
+        if indices is None:
+            rows = self.centers[:, None]
+        else:
+            rows = (indices if type(indices) is Gathered else self.batch(indices))[0]
+        n = rows.shape[0]
+        sq = thetas - rows
+        sq *= sq
+        sq = np.ascontiguousarray(np.add.reduce(sq, axis=2).T)
+        losses = 0.5 * (np.add.reduce(sq, axis=1) / n)
 
         def grads(sel=None):
             at = thetas if sel is None else thetas[sel]
             if indices is None:
                 return at - self.center_mean
-            return at - np.add.reduce(rows if sel is None else rows[sel], axis=1) / n
+            return at - np.add.reduce(rows if sel is None else rows[:, sel], axis=0) / n
 
         return losses, grads
 
@@ -186,35 +219,46 @@ class MlpClassificationLoss(LossOracle):
         self.inputs = inputs
         self.labels = labels
 
-    def _batch(self, indices):
-        if indices is None:
-            return self.inputs, self.labels
+    def batch(self, indices):
         indices = np.asarray(indices)
-        return self.inputs[indices], self.labels[indices]
+        if indices.ndim == 2:  # one handle a row, for evaluate_rows' loop
+            return [self.batch(row) for row in indices]
+        return Gathered((self.inputs[indices], self.labels[indices]))
 
     def evaluate(self, theta, indices):
         theta = self.check_theta(theta)
-        loss, saved = self.net.loss_forward(theta, *self._batch(indices))
+        if indices is None:
+            data = self.inputs, self.labels
+        else:
+            data = indices if type(indices) is Gathered else self.batch(indices)
+        loss, saved = self.net.loss_forward(theta, *data)
         return loss, lambda: self.net.loss_backward(theta, saved)
 
 
-def make_batches(n: int, batch_size: int, rng: np.random.Generator):
+def make_batches(n: int, batch_size: int, rng):
     """Disjoint cover of range(n) in random order; last batch may be short.
 
     Indices inside each batch are sorted so that batch evaluation order is
     deterministic and batch_size = n reduces to the full-data path exactly.
+    rng may be a list of C generators, one per chain in lockstep: the epoch
+    is then one (C, n) array, row c generator c's permutation, and each
+    batch a (C, B) column slice whose row c is what generator c alone cuts.
     """
     if not 1 <= batch_size <= n:
         raise ValueError(f"batch_size must be in [1, {n}], got {batch_size}")
-    perm = rng.permutation(n)
-    batches = [perm[i : i + batch_size] for i in range(0, n, batch_size)]
+    if isinstance(rng, list):
+        perm = np.array([r.permutation(n) for r in rng])
+    else:
+        perm = rng.permutation(n)
+    batches = [perm[..., i : i + batch_size] for i in range(0, n, batch_size)]
     for batch in batches:
-        batch.sort()  # in place: the batches are disjoint slices of perm
+        batch.sort()  # in place, along each row: the batches are disjoint slices of perm
     return batches
 
 
 class BatchStream:
-    """Cycles through reshuffled epochs of minibatches from its own RNG.
+    """Cycles through reshuffled epochs of minibatches from its own RNG, or
+    from a list of C generators as (C, B) batches (see make_batches).
 
     batch_size in (0, None) or >= n means full-batch mode: next() yields None
     and the stream never touches its generator, so full and minibatch runs

@@ -44,6 +44,8 @@ def _safe_norm_rows(x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         s = np.vecdot(x, x)
     norm = np.sqrt(s)
+    if s.min() >= 1e-290 and s.max() <= 1e290:  # False for a NaN row too
+        return norm
     for c in np.flatnonzero(~((s >= 1e-290) & (s <= 1e290))):
         norm[c] = _safe_norm(x[c])
     return norm

@@ -253,6 +253,8 @@ def mala_step(state: ChainState, target: GibbsTarget, gamma: float, sigma: float
     current point and the proposal.
     """
     theta = state.theta
+    if batch is not None:
+        batch = target.oracle.batch(batch)
     cur = _current(state, target, batch)
 
     u = gamma * cur.grad()
@@ -293,6 +295,8 @@ def adammcmc_step(
     if drift not in ("adam", "gradient"):
         raise ValueError(f"drift must be 'adam' or 'gradient', got {drift!r}")
     theta = state.theta
+    if batch is not None:
+        batch = target.oracle.batch(batch)
     cur = _current(state, target, batch)
 
     m_next = adam_momentum_update(state.momenta, cur.grad(), ap)
@@ -388,18 +392,19 @@ def adammcmc_rows_step(state: ChainState, oracle: LossOracle, rp: RowParams, bat
     """adammcmc_step's adam drift for C chains in lockstep, one chain a row.
 
     state is a ChainState.stack state and batch a (C, B) index array or
-    None.  Each row gets the bits adammcmc_step gives its chain: each chain
-    draws from its own generator in the one-chain order, every reduction is
-    that step's dot product row by row (np.vecdot), each bias correction is
-    a Python float ** int, and the branches of _safe_norm, log_reverse_ratio
-    and _finish_log_alpha become masks.  Returns the new state and a
-    StepInfo of (C,) arrays.  A rejected proposal's gradient is taken only
-    for the full correction.
+    None, gathered once for both evaluations.  Each row gets the bits
+    adammcmc_step gives its chain: each chain draws from its own generator
+    in the one-chain order, every reduction is that step's dot product row
+    by row (np.vecdot), each bias correction is a Python float ** int, and
+    the branches of _safe_norm, log_reverse_ratio and _finish_log_alpha
+    become masks.  Returns the new state and a StepInfo of (C,) arrays.  A
+    rejected proposal's gradient is taken only for the full correction.
     """
     theta, t = state.theta, state.step + 1
     c, p = theta.shape
     cur = state.current
     if batch is not None:
+        batch = oracle.batch(batch)
         loss, grad_fn = oracle.evaluate_rows(theta, batch)
         cur = Evaluation(loss, cur.inside, False, grad_fn)
     g = cur.grad()
@@ -411,17 +416,20 @@ def adammcmc_rows_step(state: ChainState, oracle: LossOracle, rp: RowParams, bat
     norm = prolate._safe_norm_rows(u)
 
     # per chain: P normals, the directional one only when sigma_dir > 0, then
-    # the accept test's uniform
-    z = np.empty((c, p + 1))
-    stretched = rp.sigma_dir > 0.0
-    for rng, row, extra in zip(state.rng, z, stretched.tolist()):
+    # the accept test's uniform.  An unstretched row keeps its directional
+    # normal at 0 and adds 0 * u, which keeps tau's bits but for a -0.0 entry
+    # (made 0.0) and a non-finite u (a row rejected either way)
+    z = np.zeros((c, p + 1))
+    uniforms = []
+    for rng, row, extra in zip(state.rng, z, (rp.sigma_dir > 0.0).tolist()):
         rng.standard_normal(out=row[: p + extra])
-    log_u = np.log([rng.random() for rng in state.rng])
+        uniforms.append(rng.random())
+    log_u = np.log(uniforms)
     tau = (theta - u) + rp.sigma[:, None] * z[:, :p]
-    tau[stretched] += (rp.sigma_dir[stretched] * z[stretched, p])[:, None] * u[stretched]
+    tau += (rp.sigma_dir * z[:, p])[:, None] * u
 
     loss_p, grad_p = oracle.evaluate_rows(tau, batch)
-    in_p = np.abs(tau).max(axis=1) <= rp.half_width
+    in_p = np.maximum.reduce(np.abs(tau), axis=1) <= rp.half_width
     x = tau - theta
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         log_bwd = prolate.log_reverse_ratio_rows(rp.sigma, rp.sigma_dir, u, norm, x)
