@@ -257,7 +257,7 @@ def _lockstep(experiments: list[Experiment], starts):
         column("lam"), column("sigma"), column("sigma_dir", experiments),
         column("beta1")[:, None], column("beta2")[:, None],
         column("s1_sq", cps) if full else None, column("s2_sq", cps) if full else None,
-        float(configs[0].gamma), float(configs[0].delta), experiments[0].target.prior.half_width,
+        float(configs[0].gamma), float(configs[0].delta), experiments[0].target.prior,
     )
     oracle = experiments[0].target.oracle
     if streams[0].batch_size == 0:

@@ -291,9 +291,10 @@ class PriorBox:
         if not self.half_width > 0.0:
             raise ValueError(f"half_width must be positive, got {self.half_width}")
 
-    def contains(self, theta: np.ndarray) -> bool:
-        """Whether every entry lies in the box; a NaN entry lies outside."""
-        return bool(np.abs(theta).max() <= self.half_width)
+    def contains(self, theta: np.ndarray):
+        """Whether every entry lies in the box, over the last axis: a bool for
+        one P-vector, a (C,) bool array for (C, P) rows; NaN lies outside."""
+        return np.maximum.reduce(np.abs(theta), axis=-1) <= self.half_width
 
 
 @dataclass(frozen=True)

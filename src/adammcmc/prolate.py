@@ -76,7 +76,7 @@ def log_det(sigma, sigma_dir, d, norm) -> float:
     return float(total)
 
 
-def log_reverse_ratio(sigma, sigma_dir, d, norm, x: np.ndarray) -> float:
+def log_reverse_ratio(sigma, sigma_dir, d, norm, x: np.ndarray):
     """log N(theta; tau - d, Sigma) - log N(tau; theta - d, Sigma) at
     x = tau - theta: the reverse over the forward density of two
     proposals that step against d and share this covariance.
@@ -84,23 +84,13 @@ def log_reverse_ratio(sigma, sigma_dir, d, norm, x: np.ndarray) -> float:
     Their log-determinants cancel, and Sherman-Morrison gives
     Sigma^{-1} d = d / (sigma^2 + sigma_dir^2 |d|^2), so the ratio is
     2 <x, d_hat> / (sigma^2 / |d| + sigma_dir^2 |d|), each term scaled
-    by |d| on its own so that neither a tiny nor a huge d overflows it;
-    0 when d = 0.
+    by |d| on its own so that neither a tiny nor a huge d overflows it.
+    It takes 0 < |d| < inf, and the callers supply the ratio 0 at d = 0.
+    (..., P) rows of d and x with (...,) sigma, sigma_dir and norm give one
+    ratio a row, each with the 1-D dot's bits (np.vecdot).
     """
-    if not 0.0 < norm < math.inf:
-        return 0.0
-    along = float(x @ (d / norm))
+    along = np.vecdot(x, d / (norm if d.ndim == 1 else norm[..., None]))
     return 2.0 * along / (sigma * (sigma / norm) + sigma_dir * (sigma_dir * norm))
-
-
-def log_reverse_ratio_rows(sigma, sigma_dir, d, norm, x: np.ndarray) -> np.ndarray:
-    """log_reverse_ratio of each row: (C,) sigma, sigma_dir and norm, (C, P)
-    d and x.  Rows whose norm is 0, infinite or NaN get 0; run it under
-    np.errstate(invalid="ignore", divide="ignore"), since those rows are
-    computed before the mask drops them."""
-    along = np.vecdot(x, d / norm[:, None])
-    ratio = 2.0 * along / (sigma * (sigma / norm) + sigma_dir * (sigma_dir * norm))
-    return np.where((norm > 0.0) & (norm < math.inf), ratio, 0.0)
 
 
 def inv_quad_form(sigma, sigma_dir, d, norm, x: np.ndarray) -> float:
@@ -185,6 +175,8 @@ class ProlateCovariance:
         return log_det(self.sigma, self.sigma_dir, self.direction, self.norm)
 
     def log_reverse_ratio(self, x: np.ndarray) -> float:
+        if not 0.0 < self.norm < math.inf:
+            return 0.0
         return log_reverse_ratio(self.sigma, self.sigma_dir, self.direction, self.norm, x)
 
     def inv_quad_form(self, x: np.ndarray) -> float:

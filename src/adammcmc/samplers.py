@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import GibbsTarget, LossOracle
+from .losses import GibbsTarget, LossOracle, PriorBox
 from . import prolate
 from .prolate import LOG_2PI, _safe_norm
 
@@ -38,6 +38,10 @@ class AdamParams:
             raise ValueError("beta1, beta2 must lie in [0, 1)")
         if not self.delta > 0.0:
             raise ValueError(f"delta must be positive, got {self.delta}")
+
+    def bias(self, t: int) -> tuple[float, float]:
+        """The bias-correction denominators 1 - beta1**t, 1 - beta2**t."""
+        return 1.0 - self.beta1**t, 1.0 - self.beta2**t
 
 
 @dataclass(frozen=True)
@@ -155,16 +159,16 @@ def adam_momentum_update(m: Momenta, grad: np.ndarray, p: AdamParams) -> Momenta
     )
 
 
-def adam_update_vector(m: Momenta, k: int, p: AdamParams) -> np.ndarray:
-    """Bias-corrected Adam step for chain step k (correction exponent k + 1).
+def adam_update_vector(m: Momenta, k: int, p: AdamParams | RowParams) -> np.ndarray:
+    """Bias-corrected Adam step for chain step k (correction exponent k + 1)
+    of one chain (AdamParams) or of C chains' (C, P) rows (RowParams).
 
     The second moment enters through its entrywise absolute value, so the
     formula stays defined for randomized momenta with negative entries.
     """
-    t = k + 1
-    m1_hat = m.m1 / (1.0 - p.beta1**t)
-    m2_hat = np.abs(m.m2) / (1.0 - p.beta2**t)
-    return p.gamma * m1_hat / (np.sqrt(m2_hat) + p.delta)
+    bias1, bias2 = p.bias(k + 1)
+    m2_hat = np.abs(m.m2) / bias2
+    return p.gamma * (m.m1 / bias1) / (np.sqrt(m2_hat) + p.delta)
 
 
 def log_correction(
@@ -334,13 +338,13 @@ def _adam_log_alpha(
     taken only for the full correction (cp not None).
     """
     sigma, sigma_dir = pp.sigma, pp.sigma_dir
-    if v is u:
-        log_fwd, log_bwd = 0.0, prolate.log_reverse_ratio(sigma, sigma_dir, u, norm, tau - theta)
-    else:
+    log_fwd = log_bwd = log_c = 0.0
+    if v is not u:
         log_fwd = prolate.log_density(sigma, sigma_dir, u, norm, theta - u, tau)
         with np.errstate(invalid="ignore", over="ignore"):
             log_bwd = prolate.log_density(sigma, sigma_dir, v, v_norm, tau - v, theta)
-    log_c = 0.0
+    elif 0.0 < norm < math.inf:  # the ratio is 0 at u = 0
+        log_bwd = prolate.log_reverse_ratio(sigma, sigma_dir, u, norm, tau - theta)
     if cp is not None:
         with np.errstate(invalid="ignore", over="ignore"):
             log_c = float(log_correction(m_next, cur.grad(), prop.grad(), cp))
@@ -373,8 +377,8 @@ class RowParams:
     """The knobs of C adam-drift chains in lockstep: per chain, (C,) arrays
     of lam, sigma, sigma_dir and the full correction's s_1^2, s_2^2 (None
     for the unit one), and beta1, beta2 as (C, 1) columns; gamma, delta and
-    the prior half-width are shared.  It stands in for AdamParams in
-    adam_momentum_update and for CorrectionParams in log_correction."""
+    the prior box are shared.  It stands in for AdamParams in the momentum
+    update and the update vector, and for CorrectionParams in log_correction."""
 
     lam: np.ndarray
     sigma: np.ndarray
@@ -385,7 +389,14 @@ class RowParams:
     s2_sq: np.ndarray | None
     gamma: float
     delta: float
-    half_width: float
+    prior: PriorBox
+
+    def bias(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """AdamParams.bias of each chain as (C, 1) columns, each a Python
+        float ** int: numpy's power rounds some (beta, t) differently."""
+        betas = zip(self.beta1.tolist(), self.beta2.tolist())
+        bias = np.array([(1.0 - b1**t, 1.0 - b2**t) for (b1,), (b2,) in betas])
+        return bias[:, :1], bias[:, 1:]
 
 
 def adammcmc_rows_step(state: ChainState, oracle: LossOracle, rp: RowParams, batch=None):
@@ -394,25 +405,21 @@ def adammcmc_rows_step(state: ChainState, oracle: LossOracle, rp: RowParams, bat
     state is a ChainState.stack state and batch a (C, B) index array or
     None, gathered once for both evaluations.  Each row gets the bits
     adammcmc_step gives its chain: each chain draws from its own generator
-    in the one-chain order, every reduction is that step's dot product row
-    by row (np.vecdot), each bias correction is a Python float ** int, and
-    the branches of _safe_norm, log_reverse_ratio and _finish_log_alpha
-    become masks.  Returns the new state and a StepInfo of (C,) arrays.  A
-    rejected proposal's gradient is taken only for the full correction.
+    in the one-chain order, the rows go through that step's formulas, and
+    only the control flow differs: the branches of _safe_norm, the u = 0
+    guard and _finish_log_alpha become masks.  Returns the new state and a
+    StepInfo of (C,) arrays.  A rejected proposal's gradient is taken only
+    for the full correction.
     """
-    theta, t = state.theta, state.step + 1
+    theta, cur = state.theta, state.current
     c, p = theta.shape
-    cur = state.current
     if batch is not None:
         batch = oracle.batch(batch)
         loss, grad_fn = oracle.evaluate_rows(theta, batch)
         cur = Evaluation(loss, cur.inside, False, grad_fn)
     g = cur.grad()
     m_next = adam_momentum_update(state.momenta, g, rp)
-    betas = zip(rp.beta1.tolist(), rp.beta2.tolist())
-    bias = np.array([(1.0 - b1**t, 1.0 - b2**t) for (b1,), (b2,) in betas])
-    bias1, bias2 = bias[:, :1], bias[:, 1:]
-    u = rp.gamma * (m_next.m1 / bias1) / (np.sqrt(np.abs(m_next.m2) / bias2) + rp.delta)
+    u = adam_update_vector(m_next, state.step, rp)
     norm = prolate._safe_norm_rows(u)
 
     # per chain: P normals, the directional one only when sigma_dir > 0, then
@@ -429,10 +436,10 @@ def adammcmc_rows_step(state: ChainState, oracle: LossOracle, rp: RowParams, bat
     tau += (rp.sigma_dir * z[:, p])[:, None] * u
 
     loss_p, grad_p = oracle.evaluate_rows(tau, batch)
-    in_p = np.maximum.reduce(np.abs(tau), axis=1) <= rp.half_width
-    x = tau - theta
+    in_p = rp.prior.contains(tau)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        log_bwd = prolate.log_reverse_ratio_rows(rp.sigma, rp.sigma_dir, u, norm, x)
+        ratio = prolate.log_reverse_ratio(rp.sigma, rp.sigma_dir, u, norm, tau - theta)
+        log_bwd = np.where((norm > 0.0) & (norm < math.inf), ratio, 0.0)
         log_c = 0.0
         if rp.s1_sq is not None:
             g_tau = grad_p()
@@ -452,9 +459,8 @@ def adammcmc_rows_step(state: ChainState, oracle: LossOracle, rp: RowParams, bat
         new = Evaluation(new_loss, new_inside, True, None, np.where(accepted[:, None], g_tau, g))
     else:
         new = Evaluation(new_loss, new_inside, True, lambda: _take_rows(g, accepted, grad_p))
-    new_state = ChainState(
-        np.where(accepted[:, None], tau, theta), m_next, t, new, state.rng
-    )
+    theta_next = np.where(accepted[:, None], tau, theta)
+    new_state = ChainState(theta_next, m_next, state.step + 1, new, state.rng)
     return new_state, StepInfo(accepted, log_alpha, new_loss, norm, in_p)
 
 

@@ -28,6 +28,15 @@ from adammcmc.losses import (
 )
 from adammcmc.mlp import save_dataset_csv, two_moons
 from adammcmc.prolate import _safe_norm, _safe_norm_rows
+from adammcmc.samplers import (
+    AdamParams,
+    ChainState,
+    Evaluation,
+    ProposalParams,
+    RowParams,
+    adammcmc_rows_step,
+    adammcmc_step,
+)
 
 COLUMNS = ("loss", "log_alpha", "accepted", "theta_norm", "u_norm")
 SHORT = dict(steps=40, burn_in=10, gap=5, n_samples=6, gamma=0.05, beta1=0.9, beta2=0.9)
@@ -117,6 +126,43 @@ class TestBitIdentity:
         # a group of one runs its chain through run_experiment
         rows = _scan_group(tasks)
         assert [row_bytes(r) for r in rows] == [row_bytes(_scan_group([t])[0]) for t in tasks]
+
+    @pytest.mark.parametrize("sigma_dir", [0.0, 2.0])
+    def test_zero_update_vector_row_matches_its_chain(self, sigma_dir):
+        # theta = 0 on the quadratic with zero momenta has a zero gradient and
+        # so an exactly zero update vector; the row step's mask must give its
+        # reverse ratio 0, as adammcmc_step's branch does, and warn nothing
+        target = GibbsTarget(QuadraticLoss(3), 1.0, PriorBox(10.0))
+        starts = [np.zeros(3), np.array([0.4, -1.2, 0.7])]
+        ap, pp = AdamParams(0.05, 0.9, 0.99), ProposalParams(0.3, sigma_dir)
+        rp = RowParams(
+            np.full(2, target.lam), np.full(2, pp.sigma), np.full(2, pp.sigma_dir),
+            np.full((2, 1), ap.beta1), np.full((2, 1), ap.beta2), None, None,
+            ap.gamma, ap.delta, target.prior,
+        )
+
+        def evaluated(seed):
+            state = ChainState.init(starts[seed], seed)
+            loss, grad_fn = target.oracle.evaluate(state.theta, None)
+            state.current = Evaluation(loss, target.prior.contains(state.theta), True, grad_fn)
+            return state
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, info = adammcmc_rows_step(ChainState.stack([evaluated(0), evaluated(1)]),
+                                            target.oracle, rp)
+            alone = [adammcmc_step(evaluated(seed), target, ap, pp) for seed in (0, 1)]
+        for c, (state, want) in enumerate(alone):
+            assert rows.theta[c].tobytes() == state.theta.tobytes()
+            assert rows.momenta.m1[c].tobytes() == state.momenta.m1.tobytes()
+            assert rows.momenta.m2[c].tobytes() == state.momenta.m2.tobytes()
+            for name in ("accepted", "log_alpha", "loss", "u_norm", "proposal_in_prior"):
+                got = np.float64(getattr(info, name)[c]).tobytes()
+                assert got == np.float64(getattr(want, name)).tobytes(), name
+        # the zero row proposes tau = sigma * z and accepts on the loss alone
+        tau = pp.sigma * np.random.default_rng(0).standard_normal(3)
+        assert info.u_norm[0] == 0.0
+        assert info.log_alpha[0] == -target.lam * target.oracle.evaluate(tau, None)[0]
 
     @settings(max_examples=60)
     @given(

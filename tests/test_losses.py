@@ -356,6 +356,14 @@ class TestPriorAndTarget:
         assert not box.contains(np.array([0.0, -np.inf]))
         assert not box.contains(np.array([np.nan, 0.0]))
         assert not box.contains(np.array([0.0, np.nan]))
+        # (C, P) rows: one answer a row, each the row's own
+        rows = np.array([
+            [2.0, -2.0], [0.0, np.nextafter(2.0, 3.0)], [np.nan, 0.0], [0.0, -np.inf], [0.5, 1.0],
+        ])
+        inside = box.contains(rows)
+        assert inside.shape == (5,)
+        assert inside.tolist() == [box.contains(row) for row in rows]
+        assert inside.tolist() == [True, False, False, False, True]
 
     def test_log_density_outside_box(self):
         target = quadratic_target(3, lam=2.0, half_width=1.0)
