@@ -7,7 +7,7 @@ chain with the same seed see identical proposal noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .samplers import (
     ChainState,
     CorrectionParams,
     ProposalParams,
-    RowParams,
     SghmcParams,
     _evaluate,
     adam_step,
@@ -53,7 +52,9 @@ class Experiment:
     config: RunConfig
     target: GibbsTarget
     schedule: ChainSchedule
-    sigma_dir: float
+    ap: AdamParams
+    pp: ProposalParams
+    cp: CorrectionParams | None
     net: MicroMlp | None = None
     test_inputs: np.ndarray | None = None
     test_labels: np.ndarray | None = None
@@ -64,13 +65,6 @@ class ExperimentResult:
     experiment: Experiment
     summary: EnsembleSummary
     record: ChainRecord
-
-
-def resolve_sigma_dir(config: RunConfig, dim: int) -> float:
-    """Directional noise default: dim / 100 when the config leaves it unset."""
-    if config.sigma_dir is not None:
-        return float(config.sigma_dir)
-    return dim / 100.0
 
 
 def correction_params(config: RunConfig) -> CorrectionParams | None:
@@ -86,7 +80,7 @@ def correction_params(config: RunConfig) -> CorrectionParams | None:
 
 
 def build_experiment(config: RunConfig) -> Experiment:
-    """Instantiate the target (and dataset, for the classifier) of a config."""
+    """Instantiate a config's target (and dataset, for the classifier) and records."""
     config.validate()
     if config.target == "quadratic":
         target = quadratic_target(config.dim, config.lam, config.prior_half_width)
@@ -109,11 +103,14 @@ def build_experiment(config: RunConfig) -> Experiment:
             train_x, train_y, test_x, test_y = two_moons()
         target = mlp_target(net, train_x, train_y, config.lam, config.prior_half_width)
     schedule = ChainSchedule(config.steps, config.burn_in, config.gap, config.n_samples)
+    sigma_dir = target.dim / 100.0 if config.sigma_dir is None else float(config.sigma_dir)
     return Experiment(
         config=config,
         target=target,
         schedule=schedule,
-        sigma_dir=resolve_sigma_dir(config, target.dim),
+        ap=AdamParams(config.gamma, config.beta1, config.beta2, config.delta),
+        pp=ProposalParams(config.sigma, sigma_dir),
+        cp=correction_params(config),
         net=net,
         test_inputs=test_x,
         test_labels=test_y,
@@ -145,9 +142,7 @@ def make_step_fn(experiment: Experiment, batches: BatchStream):
     cfg = experiment.config
     target = experiment.target
     oracle = target.oracle
-    ap = AdamParams(cfg.gamma, cfg.beta1, cfg.beta2, cfg.delta)
-    pp = ProposalParams(cfg.sigma, experiment.sigma_dir)
-    cp = correction_params(cfg)
+    ap, pp, cp = experiment.ap, experiment.pp, experiment.cp
     full = batches.batch_size == 0
 
     if cfg.sampler == "adammcmc":
@@ -244,30 +239,28 @@ def run_experiments(configs: list[RunConfig]) -> list[ExperimentResult]:
 
 def _lockstep(experiments: list[Experiment], starts):
     """The (initial state, step function) of seeded adammcmc chains that
-    share a target and batch size, stepping in lockstep."""
+    share a target and batch size, stepping in lockstep on their records
+    with the fields that differ across chains stacked into columns."""
     states, streams = zip(*starts)
-    configs = [e.config for e in experiments]
-    cps = [correction_params(cfg) for cfg in configs]
 
-    def column(name, rows=configs):
-        return np.array([getattr(row, name) for row in rows], dtype=float)
+    def stacked(name, *fields, shape=(-1,)):
+        records = [getattr(e, name) for e in experiments]
+        if records[0] is None:  # the unit correction
+            return None
+        return replace(records[0], **{
+            f: np.array([getattr(r, f) for r in records], float).reshape(shape) for f in fields
+        })
 
-    full = cps[0] is not None
-    rp = RowParams(
-        column("lam"), column("sigma"), column("sigma_dir", experiments),
-        column("beta1")[:, None], column("beta2")[:, None],
-        column("s1_sq", cps) if full else None, column("s2_sq", cps) if full else None,
-        float(configs[0].gamma), float(configs[0].delta), experiments[0].target.prior,
-    )
-    oracle = experiments[0].target.oracle
+    target, ap = stacked("target", "lam"), stacked("ap", "beta1", "beta2", shape=(-1, 1))
+    pp, cp = stacked("pp", "sigma", "sigma_dir"), stacked("cp", "s1_sq", "s2_sq")
     if streams[0].batch_size == 0:
         def step(state):
-            return adammcmc_rows_step(state, oracle, rp)
+            return adammcmc_rows_step(state, target, ap, pp, cp)
     else:  # one stream cuts the chains' equal-length batches as (C, B) arrays
         batches = BatchStream(streams[0].n, streams[0].batch_size, [s.rng for s in streams])
 
         def step(state):
-            return adammcmc_rows_step(state, oracle, rp, batches.next())
+            return adammcmc_rows_step(state, target, ap, pp, cp, batches.next())
     return ChainState.stack(states), step
 
 

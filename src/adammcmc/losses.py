@@ -299,14 +299,15 @@ class PriorBox:
 
 @dataclass(frozen=True)
 class GibbsTarget:
-    """Tempered target exp(-lam * L_n(theta)) restricted to a prior box."""
+    """Tempered target exp(-lam * L_n(theta)) restricted to a prior box; C
+    chains in lockstep hold a (C,) array of their lam on one oracle and box."""
 
     oracle: LossOracle
-    lam: float
+    lam: float | np.ndarray
     prior: PriorBox
 
     def __post_init__(self):
-        if not self.lam > 0.0:
+        if not np.all(self.lam > 0.0):
             raise ValueError(f"lam must be positive, got {self.lam}")
 
     @property

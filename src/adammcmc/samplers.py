@@ -17,44 +17,51 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import GibbsTarget, LossOracle, PriorBox
+from .losses import GibbsTarget, LossOracle
 from . import prolate
 from .prolate import LOG_2PI, _safe_norm
 
 
 @dataclass(frozen=True)
 class AdamParams:
-    """Learning rate, momentum decays and the denominator offset."""
+    """Learning rate, momentum decays and the denominator offset; C chains in
+    lockstep hold their decays as (C, 1) columns and share gamma and delta."""
 
     gamma: float = 1e-3
-    beta1: float = 0.99
-    beta2: float = 0.99
+    beta1: float | np.ndarray = 0.99
+    beta2: float | np.ndarray = 0.99
     delta: float = 1e-8
 
     def __post_init__(self):
         if not self.gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+        betas = np.array([self.beta1, self.beta2])
+        if not np.all((0.0 <= betas) & (betas < 1.0)):
             raise ValueError("beta1, beta2 must lie in [0, 1)")
         if not self.delta > 0.0:
             raise ValueError(f"delta must be positive, got {self.delta}")
 
-    def bias(self, t: int) -> tuple[float, float]:
-        """The bias-correction denominators 1 - beta1**t, 1 - beta2**t."""
-        return 1.0 - self.beta1**t, 1.0 - self.beta2**t
+    def bias(self, t: int):
+        """The bias-correction denominators 1 - beta1**t, 1 - beta2**t: two floats, or
+        (C, 1) columns of one Python float ** int a chain (numpy's power rounds some apart)."""
+        if type(self.beta1) is not np.ndarray:  # isinstance would add a profiled call a step
+            return 1.0 - self.beta1**t, 1.0 - self.beta2**t
+        betas = zip(self.beta1.tolist(), self.beta2.tolist())
+        bias = np.array([(1.0 - b1**t, 1.0 - b2**t) for (b1,), (b2,) in betas])
+        return bias[:, :1], bias[:, 1:]
 
 
 @dataclass(frozen=True)
 class ProposalParams:
-    """Isotropic and directional noise levels of the proposal."""
+    """Isotropic and directional noise levels of the proposal ((C,) arrays in lockstep)."""
 
-    sigma: float
-    sigma_dir: float = 0.0
+    sigma: float | np.ndarray
+    sigma_dir: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
+        if not np.all(self.sigma > 0.0):
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not self.sigma_dir >= 0.0:
+        if not np.all(self.sigma_dir >= 0.0):
             raise ValueError(f"sigma_dir must be non-negative, got {self.sigma_dir}")
 
 
@@ -62,13 +69,14 @@ class ProposalParams:
 class CorrectionParams:
     """Variances s_1^2, s_2^2 of the momentum densities, which the full
     momentum-density correction of the acceptance needs; None in their place
-    is the unit correction (factor 1), the practical algorithm."""
+    is the unit correction (factor 1), the practical algorithm.  For C
+    chains in lockstep, each is a (C,) array."""
 
-    s1_sq: float
-    s2_sq: float
+    s1_sq: float | np.ndarray
+    s2_sq: float | np.ndarray
 
     def __post_init__(self):
-        if not (self.s1_sq > 0.0 and self.s2_sq > 0.0):
+        if not np.all((self.s1_sq > 0.0) & (self.s2_sq > 0.0)):
             raise ValueError(f"s1_sq, s2_sq must be positive, got {self.s1_sq}, {self.s2_sq}")
 
 
@@ -159,9 +167,9 @@ def adam_momentum_update(m: Momenta, grad: np.ndarray, p: AdamParams) -> Momenta
     )
 
 
-def adam_update_vector(m: Momenta, k: int, p: AdamParams | RowParams) -> np.ndarray:
+def adam_update_vector(m: Momenta, k: int, p: AdamParams) -> np.ndarray:
     """Bias-corrected Adam step for chain step k (correction exponent k + 1)
-    of one chain (AdamParams) or of C chains' (C, P) rows (RowParams).
+    of one chain, or of C chains' (C, P) rows with p's (C, 1) decay columns.
 
     The second moment enters through its entrywise absolute value, so the
     formula stays defined for randomized momenta with negative entries.
@@ -372,38 +380,15 @@ def adammcmc_log_alpha(
     )
 
 
-@dataclass(frozen=True)
-class RowParams:
-    """The knobs of C adam-drift chains in lockstep: per chain, (C,) arrays
-    of lam, sigma, sigma_dir and the full correction's s_1^2, s_2^2 (None
-    for the unit one), and beta1, beta2 as (C, 1) columns; gamma, delta and
-    the prior box are shared.  It stands in for AdamParams in the momentum
-    update and the update vector, and for CorrectionParams in log_correction."""
-
-    lam: np.ndarray
-    sigma: np.ndarray
-    sigma_dir: np.ndarray
-    beta1: np.ndarray
-    beta2: np.ndarray
-    s1_sq: np.ndarray | None
-    s2_sq: np.ndarray | None
-    gamma: float
-    delta: float
-    prior: PriorBox
-
-    def bias(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """AdamParams.bias of each chain as (C, 1) columns, each a Python
-        float ** int: numpy's power rounds some (beta, t) differently."""
-        betas = zip(self.beta1.tolist(), self.beta2.tolist())
-        bias = np.array([(1.0 - b1**t, 1.0 - b2**t) for (b1,), (b2,) in betas])
-        return bias[:, :1], bias[:, 1:]
-
-
-def adammcmc_rows_step(state: ChainState, oracle: LossOracle, rp: RowParams, batch=None):
+def adammcmc_rows_step(
+    state: ChainState, target: GibbsTarget, ap: AdamParams, pp: ProposalParams,
+    cp: CorrectionParams | None = None, batch=None,
+):
     """adammcmc_step's adam drift for C chains in lockstep, one chain a row.
 
     state is a ChainState.stack state and batch a (C, B) index array or
-    None, gathered once for both evaluations.  Each row gets the bits
+    None, gathered once for both evaluations, and the records hold the
+    chains' knobs as columns (see _lockstep).  Each row gets the bits
     adammcmc_step gives its chain: each chain draws from its own generator
     in the one-chain order, the rows go through that step's formulas, and
     only the control flow differs: the branches of _safe_norm, the u = 0
@@ -413,13 +398,14 @@ def adammcmc_rows_step(state: ChainState, oracle: LossOracle, rp: RowParams, bat
     """
     theta, cur = state.theta, state.current
     c, p = theta.shape
+    oracle = target.oracle
     if batch is not None:
         batch = oracle.batch(batch)
         loss, grad_fn = oracle.evaluate_rows(theta, batch)
         cur = Evaluation(loss, cur.inside, False, grad_fn)
     g = cur.grad()
-    m_next = adam_momentum_update(state.momenta, g, rp)
-    u = adam_update_vector(m_next, state.step, rp)
+    m_next = adam_momentum_update(state.momenta, g, ap)
+    u = adam_update_vector(m_next, state.step, ap)
     norm = prolate._safe_norm_rows(u)
 
     # per chain: P normals, the directional one only when sigma_dir > 0, then
@@ -428,23 +414,23 @@ def adammcmc_rows_step(state: ChainState, oracle: LossOracle, rp: RowParams, bat
     # (made 0.0) and a non-finite u (a row rejected either way)
     z = np.zeros((c, p + 1))
     uniforms = []
-    for rng, row, extra in zip(state.rng, z, (rp.sigma_dir > 0.0).tolist()):
+    for rng, row, extra in zip(state.rng, z, (pp.sigma_dir > 0.0).tolist()):
         rng.standard_normal(out=row[: p + extra])
         uniforms.append(rng.random())
     log_u = np.log(uniforms)
-    tau = (theta - u) + rp.sigma[:, None] * z[:, :p]
-    tau += (rp.sigma_dir * z[:, p])[:, None] * u
+    tau = (theta - u) + pp.sigma[:, None] * z[:, :p]
+    tau += (pp.sigma_dir * z[:, p])[:, None] * u
 
     loss_p, grad_p = oracle.evaluate_rows(tau, batch)
-    in_p = rp.prior.contains(tau)
+    in_p = target.prior.contains(tau)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ratio = prolate.log_reverse_ratio(rp.sigma, rp.sigma_dir, u, norm, tau - theta)
+        ratio = prolate.log_reverse_ratio(pp.sigma, pp.sigma_dir, u, norm, tau - theta)
         log_bwd = np.where((norm > 0.0) & (norm < math.inf), ratio, 0.0)
         log_c = 0.0
-        if rp.s1_sq is not None:
+        if cp is not None:
             g_tau = grad_p()
-            log_c = log_correction(m_next, g, g_tau, rp)
-        delta = -rp.lam * (loss_p - cur.loss) + log_bwd + log_c
+            log_c = log_correction(m_next, g, g_tau, cp)
+        delta = -target.lam * (loss_p - cur.loss) + log_bwd + log_c
     # _finish_log_alpha: min(0.0, delta) keeps 0.0 for delta = -0.0
     log_alpha = np.where(delta < 0.0, delta, np.where(np.isnan(delta), -np.inf, 0.0))
     log_alpha = np.where(cur.inside, log_alpha, 0.0)
@@ -455,7 +441,7 @@ def adammcmc_rows_step(state: ChainState, oracle: LossOracle, rp: RowParams, bat
     new_inside = np.where(accepted, in_p, cur.inside)
     if batch is not None:
         new = Evaluation(new_loss, new_inside, False, None)
-    elif rp.s1_sq is not None:
+    elif cp is not None:
         new = Evaluation(new_loss, new_inside, True, None, np.where(accepted[:, None], g_tau, g))
     else:
         new = Evaluation(new_loss, new_inside, True, lambda: _take_rows(g, accepted, grad_p))

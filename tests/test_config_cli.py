@@ -17,8 +17,10 @@ from adammcmc.config import CORRECTIONS, SAMPLERS, TARGETS, ConfigError, RunConf
 from adammcmc.experiments import (
     build_experiment,
     correction_params,
+    ensemble_test_accuracy,
     initial_state,
     make_step_fn,
+    run_experiment,
     start_chain,
 )
 from adammcmc.losses import BatchStream
@@ -325,6 +327,11 @@ class TestCmdRun:
         assert samples.shape == (FAST_RUN["n_samples"], FAST_RUN["dim"])
         record = ChainRecord.from_csv(out / "record.csv")
         assert record.step.size == FAST_RUN["steps"]
+
+    def test_test_accuracy_needs_the_classifier(self):
+        result = run_experiment(RunConfig(**FAST_RUN))
+        with pytest.raises(ValueError, match="only defined for the classifier"):
+            ensemble_test_accuracy(result)
 
     @pytest.mark.parametrize("sampler", ["mala", "adam", "sgd", "sghmc"])
     def test_all_samplers_run(self, tmp_path, sampler):

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adammcmc import experiments
-from adammcmc.chain import NumericalAbort, run_chain
+from adammcmc.chain import NumericalAbort, run_chain, save_samples_csv
 from adammcmc.config import RunConfig
 from adammcmc.diagnostics import SCAN_PARAMS, _scan_group, apply_scan_value, scan_acceptance
 from adammcmc.experiments import _lockstep, build_experiment, run_experiment, seed_chain
@@ -33,7 +33,6 @@ from adammcmc.samplers import (
     ChainState,
     Evaluation,
     ProposalParams,
-    RowParams,
     adammcmc_rows_step,
     adammcmc_step,
 )
@@ -135,11 +134,11 @@ class TestBitIdentity:
         target = GibbsTarget(QuadraticLoss(3), 1.0, PriorBox(10.0))
         starts = [np.zeros(3), np.array([0.4, -1.2, 0.7])]
         ap, pp = AdamParams(0.05, 0.9, 0.99), ProposalParams(0.3, sigma_dir)
-        rp = RowParams(
-            np.full(2, target.lam), np.full(2, pp.sigma), np.full(2, pp.sigma_dir),
-            np.full((2, 1), ap.beta1), np.full((2, 1), ap.beta2), None, None,
-            ap.gamma, ap.delta, target.prior,
+        rows_target = GibbsTarget(target.oracle, np.full(2, target.lam), target.prior)
+        rows_ap = AdamParams(
+            ap.gamma, np.full((2, 1), ap.beta1), np.full((2, 1), ap.beta2), ap.delta
         )
+        rows_pp = ProposalParams(np.full(2, pp.sigma), np.full(2, pp.sigma_dir))
 
         def evaluated(seed):
             state = ChainState.init(starts[seed], seed)
@@ -150,7 +149,7 @@ class TestBitIdentity:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows, info = adammcmc_rows_step(ChainState.stack([evaluated(0), evaluated(1)]),
-                                            target.oracle, rp)
+                                            rows_target, rows_ap, rows_pp)
             alone = [adammcmc_step(evaluated(seed), target, ap, pp) for seed in (0, 1)]
         for c, (state, want) in enumerate(alone):
             assert rows.theta[c].tobytes() == state.theta.tobytes()
@@ -232,6 +231,44 @@ def first_error(tasks) -> str:
     raise AssertionError("no chain raised")
 
 
+def csv_bytes(result, out):
+    """The record.csv + samples.csv bytes that `adammcmc run` writes."""
+    out.mkdir()
+    result.record.to_csv(out / "record.csv")
+    save_samples_csv(out / "samples.csv", result.summary.samples)
+    return (out / "record.csv").read_bytes() + (out / "samples.csv").read_bytes()
+
+
+class TestSigmaDirDefault:
+    """An unset sigma_dir is dim / 100, built once into the experiment's
+    ProposalParams, for one chain and for each row of a lockstep group."""
+
+    UNSET = RunConfig(target="noisy_quadratic", dim=4, sigma=0.5, batch_size=48, **SHORT)
+
+    def test_one_chain(self, tmp_path):
+        def run(sigma_dir):
+            config = self.UNSET.replace(sigma_dir=sigma_dir)
+            return csv_bytes(run_experiment(config), tmp_path / str(sigma_dir))
+
+        unset = run(None)
+        assert unset == run(0.04)
+        assert unset != run(0.0)
+
+    def test_lockstep_group(self, tmp_path):
+        def group(sigma_dir):
+            return [(self.UNSET.replace(sigma=s, seed=seed, sigma_dir=sigma_dir), "sigma", s)
+                    for s, seed in ((0.5, 1), (0.3, 2))]
+
+        unset, explicit = group(None), group(0.04)
+        results = experiments.run_experiments([config for config, _, _ in unset])
+        wants = experiments.run_experiments([config for config, _, _ in explicit])
+        for c, (got, want) in enumerate(zip(results, wants)):
+            assert csv_bytes(got, tmp_path / f"unset{c}") == csv_bytes(want, tmp_path / f"set{c}")
+        assert [row_bytes(r) for r in _scan_group(unset)] == [
+            row_bytes(r) for r in _scan_group(explicit)
+        ]
+
+
 BRITTLE_SCAN = RunConfig(target="quadratic", dim=2, sigma=0.5, sigma_dir=1.0, batch_size=10,
                          **SHORT).replace(steps=200, burn_in=100, gap=10, n_samples=10)
 
@@ -261,6 +298,11 @@ class TestErrors:
         run_experiment(tasks[0][0])
         with np.errstate(all="ignore"), pytest.raises(NumericalAbort, match=re.escape(want)):
             scan_acceptance(BRITTLE_SCAN, "sigma", grid, n_replicates=3, jobs=jobs)
+
+    def test_configs_differing_outside_the_row_fields_raise(self):
+        configs = [BRITTLE_SCAN, BRITTLE_SCAN.replace(seed=4, gamma=0.01)]
+        with pytest.raises(ValueError, match="may differ only in"):
+            experiments.run_experiments(configs)
 
     def test_row_norms_are_safe_norms_and_warn_nothing(self):
         x = np.array([

@@ -386,6 +386,10 @@ class TestPriorAndTarget:
             PriorBox(0.0)
         with pytest.raises(ValueError):
             GibbsTarget(QuadraticLoss(2), 0.0, PriorBox(1.0))
+        with pytest.raises(ValueError, match="lam must be positive"):  # one chain's column
+            GibbsTarget(QuadraticLoss(2), np.array([1.0, 0.0]), PriorBox(1.0))
+        with pytest.raises(ValueError, match=r"shape \(3,\), expected \(2,\)"):
+            QuadraticLoss(2).check_theta(np.zeros(3))
         with pytest.raises(ValueError):
             BananaLoss(1)
 
@@ -425,6 +429,8 @@ class TestMicroMlp:
         net = MicroMlp()
         with pytest.raises(ValueError):
             net.forward(np.zeros(net.n_params - 1), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="input and an output layer"):
+            MicroMlp((2,))
 
 
 def reference_hidden(net, theta, inputs):
@@ -503,6 +509,10 @@ class TestSweepBits:
         # out-of-range label would point into a neighbouring row
         with pytest.raises(ValueError, match="labels"):
             MlpClassificationLoss(MicroMlp((2, 4, 2)), np.zeros((2, 2)), np.array([0, bad_label]))
+
+    def test_oracle_rejects_unequal_point_counts(self):
+        with pytest.raises(ValueError, match="number of points"):
+            MlpClassificationLoss(MicroMlp((2, 4, 2)), np.zeros((3, 2)), np.array([0, 1]))
 
     def test_sweep_peak_memory_below_reference(self):
         # a count of bytes, which host load cannot move: 2-16-16-2 at n=2000

@@ -197,6 +197,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             ProlateCovariance(1.0, -0.1, np.ones(2))
 
+    def test_rejects_a_2d_direction(self):
+        with pytest.raises(ValueError, match="flat vector"):
+            ProlateCovariance(1.0, 1.0, np.ones((2, 2)))
+
 
 class TestExtremeStretch:
     """Stretch ratios sigma_dir |d| / sigma far outside [1e-154, 1e154]."""

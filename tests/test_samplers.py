@@ -31,7 +31,6 @@ from adammcmc.samplers import (
     Evaluation,
     Momenta,
     ProposalParams,
-    RowParams,
     SghmcParams,
     _finish_log_alpha,
     adam_momentum_update,
@@ -158,14 +157,13 @@ class TestUpdateVector:
         # differently at some t in this range (beta = 0.99 at t = 3, 22, 31;
         # beta = 0.999 at t = 7, 23)
         betas = [(0.99, 0.99), (0.99, 0.999), (0.999, 0.99), (0.999, 0.999)]
-        rp = RowParams(
-            np.ones(4), np.ones(4), np.zeros(4), np.array([[b1] for b1, _ in betas]),
-            np.array([[b2] for _, b2 in betas]), None, None, 1e-2, 1e-8, PriorBox(10.0),
+        rows_ap = AdamParams(
+            1e-2, np.array([[b1] for b1, _ in betas]), np.array([[b2] for _, b2 in betas]), 1e-8
         )
         rng = np.random.default_rng(11)
         m = Momenta(rng.standard_normal((4, 6)), rng.random((4, 6)))
         for k in range(500):  # t = k + 1 = 1 ... 500
-            rows = adam_update_vector(m, k, rp)
+            rows = adam_update_vector(m, k, rows_ap)
             for c, (b1, b2) in enumerate(betas):
                 want = adam_update_vector(Momenta(m.m1[c], m.m2[c]), k, AdamParams(1e-2, b1, b2, 1e-8))
                 assert rows[c].tobytes() == want.tobytes(), (k, b1, b2)
@@ -561,6 +559,8 @@ class TestParamValidation:
             AdamParams(gamma=0.0)
         with pytest.raises(ValueError):
             AdamParams(beta1=1.0)
+        with pytest.raises(ValueError, match="beta1, beta2"):  # one chain's column
+            AdamParams(beta1=np.full((2, 1), 0.9), beta2=np.array([[0.9], [1.0]]))
         with pytest.raises(ValueError):
             AdamParams(delta=0.0)
 
@@ -571,10 +571,18 @@ class TestParamValidation:
             ProposalParams(sigma=1.0, sigma_dir=-1.0)
         with pytest.raises(ValueError, match="sigma_dir"):
             ProposalParams(sigma=1.0, sigma_dir=np.nan)
+        with pytest.raises(ValueError, match="sigma must be positive"):  # one chain's column
+            ProposalParams(sigma=np.array([0.5, np.nan]), sigma_dir=np.zeros(2))
 
     def test_prolate_covariance_nan_sigma_dir(self):
         with pytest.raises(ValueError, match="sigma_dir"):
             ProlateCovariance(1.0, np.nan, np.ones(2))
+
+    def test_unknown_drift(self):
+        target = quadratic_target(2)
+        state = ChainState.init(np.zeros(2), 0)
+        with pytest.raises(ValueError, match="drift must be 'adam' or 'gradient'"):
+            adammcmc_step(state, target, AdamParams(), ProposalParams(1.0), drift="momentum")
 
     @pytest.mark.parametrize(
         "fields, rule",
@@ -593,7 +601,8 @@ class TestParamValidation:
             SghmcParams(**fields)
 
     def test_correction_params(self):
-        for s1_sq, s2_sq in ((0.0, 0.1), (-1.0, 1.0), (np.nan, 1.0), (1.0, np.nan)):
+        for s1_sq, s2_sq in ((0.0, 0.1), (-1.0, 1.0), (np.nan, 1.0), (1.0, np.nan),
+                             (np.ones(2), np.array([1.0, np.nan]))):
             with pytest.raises(ValueError):
                 CorrectionParams(s1_sq, s2_sq)
         cp = CorrectionParams(1e-4, 2e-4)
