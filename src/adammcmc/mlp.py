@@ -30,21 +30,30 @@ class Activations(NamedTuple):
 def _shifted_exp(logits: np.ndarray):
     """Row max m of the logits, exp(logits - m) and its row sums.
 
-    Built column by column, because numpy's per-row `.max(axis=1)` and
-    `.sum(axis=1)` cost more than a few whole-column operations on a narrow
-    array.  The bits are those of the row reductions: a max is exact in any
-    order, and numpy sums a row narrower than 8 entries left to right, as the
-    running column sum does; this package's output width is 2.
+    Built column by column: numpy broadcasts a narrow row against an array,
+    or reduces along it, in one short inner loop per row, while a
+    whole-column operation is one long loop.  The bits are those of the
+    row-wise forms: an elementwise operation and a max are exact in any
+    order, and numpy sums a row narrower than 8 entries left to right, as
+    the running column sum does; this package's output width is 2.
     """
     zmax = logits[:, 0].copy()
     for j in range(1, logits.shape[1]):
         np.maximum(zmax, logits[:, j], out=zmax)
-    e = logits - zmax[:, None]
+    e = _minus_column(logits, zmax)
     np.exp(e, out=e)
     total = e[:, 0].copy()
     for j in range(1, logits.shape[1]):
         total += e[:, j]
     return zmax, e, total
+
+
+def _minus_column(a: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """A fresh `a - col[:, None]`, one column of `a` at a time."""
+    out = np.empty_like(a)
+    for j in range(a.shape[1]):
+        np.subtract(a[:, j], col, out=out[:, j])
+    return out
 
 
 class MicroMlp:
@@ -89,24 +98,31 @@ class MicroMlp:
 
     def _hidden(self, layers, inputs: np.ndarray) -> list[np.ndarray]:
         """The hidden-layer sweep: [inputs, h_1, ..., h_L], h_k = relu(h_{k-1} W + b)."""
-        hs = [np.atleast_2d(np.asarray(inputs, dtype=float))]
+        x = np.asarray(inputs, dtype=float)
+        hs = [x if x.ndim == 2 else np.atleast_2d(x)]
         for w, b in layers[:-1]:
             z = hs[-1] @ w
             z += b
             hs.append(np.maximum(z, 0.0, out=z))
         return hs
 
+    def _output(self, layers, hs) -> np.ndarray:
+        """The output layer's logits h_L W + b, the bias added column by column."""
+        w, b = layers[-1]
+        z = hs[-1] @ w
+        for j in range(z.shape[1]):
+            z[:, j] += b[j]
+        return z
+
     def logits(self, theta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         layers = self.unpack(theta)
-        w, b = layers[-1]
-        z = self._hidden(layers, inputs)[-1] @ w
-        z += b
-        return z
+        return self._output(layers, self._hidden(layers, inputs))
 
     def forward(self, theta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """Class probabilities, one row per input (log-sum-exp stabilized)."""
         _, e, total = _shifted_exp(self.logits(theta, inputs))
-        e /= total[:, None]
+        for j in range(e.shape[1]):
+            e[:, j] /= total
         return e
 
     def loss(self, theta: np.ndarray, inputs: np.ndarray, labels: np.ndarray) -> float:
@@ -121,41 +137,43 @@ class MicroMlp:
         layers = self.unpack(theta)
         hs = self._hidden(layers, inputs)
         labels = np.asarray(labels, dtype=int)
-        w, b = layers[-1]
-        logits = hs[-1] @ w
-        logits += b
+        logits = self._output(layers, hs)
         zmax, _, lse = _shifted_exp(logits)
         np.log(lse, out=lse)
         lse += zmax
         n, width = logits.shape
         label_index = np.arange(n) * width + labels
-        loss = float(np.mean(lse - logits.ravel()[label_index]))
+        # np.mean's own arithmetic (a pairwise sum, then / n) without its wrappers
+        loss = float(np.add.reduce(lse - logits.ravel()[label_index]) / n)
         return loss, Activations(layers, hs, logits, lse, label_index)
 
     def loss_backward(self, theta, saved: Activations) -> np.ndarray:
         """Gradient of the mean cross entropy w.r.t. the flat parameters,
-        back-propagated from the activations `loss_forward` saved at theta."""
+        back-propagated from the activations `loss_forward` saved at theta.
+
+        Each layer's dW and db are written straight into their place in one
+        flat gradient."""
         layers, hs = saved.layers, saved.hidden
         n = hs[0].shape[0]
-        dz = saved.logits - saved.lse[:, None]
+        dz = _minus_column(saved.logits, saved.lse)
         np.exp(dz, out=dz)
         dz.ravel()[saved.label_index] -= 1.0
         dz /= n
 
-        grads = [None] * len(layers)
+        grad = np.empty(self.n_params)
+        grads = self.unpack(grad)  # (dW, db) views, laid out as theta's (W, b)
         for i in range(len(layers) - 1, -1, -1):
             w, _ = layers[i]
-            dw = hs[i].T @ dz
+            dw, db = grads[i]
+            np.matmul(hs[i].T, dz, out=dw)
             # the column sums of dz, in the same order and bits as
             # dz.sum(axis=0) for two columns or more, at a third of its cost
-            db = np.einsum("ij->j", dz)
-            grads[i] = (dw, db)
+            np.einsum("ij->j", dz, out=db)
             if i > 0:
                 dz = dz @ w.T
                 # relu(z) > 0 exactly when z > 0 (NaN included)
                 dz *= hs[i] > 0.0
-
-        return np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in grads])
+        return grad
 
     def loss_and_grad(self, theta, inputs, labels):
         """Mean cross entropy and its gradient w.r.t. the flat parameters."""

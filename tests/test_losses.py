@@ -14,6 +14,7 @@ from adammcmc.experiments import run_experiment
 from adammcmc.losses import (
     BananaLoss,
     BatchStream,
+    Gathered,
     GibbsTarget,
     MlpClassificationLoss,
     NoisyQuadraticLoss,
@@ -495,6 +496,35 @@ class TestSweepBits:
         np.testing.assert_array_equal(got_grad, grad)
         assert got_grad.tobytes() == grad.tobytes()  # signed zeros included
         assert net.forward(theta, x).tobytes() == reference_probs(net, theta, x).tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 50.0])
+    def test_full_batch_at_the_chains_size_matches_reference(self, scale):
+        # the size the MLP chain runs: 2-16-16-2 on two-moons at n=2000
+        net = MicroMlp()
+        x, y, _, _ = two_moons(n_train=2000, n_test=1)
+        theta = net.init_params(np.random.default_rng(11)) * scale
+        loss, grad = reference_loss_and_grad(net, theta, x, y)
+        got_loss, got_grad = net.loss_and_grad(theta, x, y)
+        assert np.float64(got_loss).tobytes() == np.float64(loss).tobytes()
+        assert got_grad.tobytes() == grad.tobytes()  # signed zeros included
+        assert net.forward(theta, x).tobytes() == reference_probs(net, theta, x).tobytes()
+
+    def test_oracle_evaluate_matches_reference(self):
+        # what a chain step calls: the oracle's evaluate on a Gathered
+        # minibatch and on the full data, then the gradient callable
+        net = MicroMlp()
+        x, y, _, _ = two_moons(n_train=2000, n_test=1)
+        oracle = MlpClassificationLoss(net, x, y)
+        rng = np.random.default_rng(12)
+        theta = net.init_params(rng)
+        rows = np.sort(rng.choice(2000, 200, replace=False))
+        gathered = oracle.batch(rows)
+        assert type(gathered) is Gathered
+        for data, (xs, ys) in ((gathered, (x[rows], y[rows])), (None, (x, y))):
+            loss, grad_fn = oracle.evaluate(theta, data)
+            ref_loss, ref_grad = reference_loss_and_grad(net, theta, xs, ys)
+            assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+            assert grad_fn().tobytes() == ref_grad.tobytes()
 
     @settings(max_examples=150)
     @given(rows=st.integers(1, 400), cols=st.integers(2, 40), seed=st.integers(0, 2**16))

@@ -905,17 +905,19 @@ def test_random_draws_the_uniform_stream():
 
 
 def python_calls(run) -> int:
-    """cProfile's exact count of the Python-level calls run() makes: the sum
-    over its code objects.  pstats would merge every dataclass-generated
-    __init__ into one ("<string>", 2, "__init__") entry and keep one count.
+    """The number of calls cProfile records while run() runs, summed over
+    its code objects (pstats would merge every dataclass-generated __init__
+    into one ("<string>", 2, "__init__") entry and keep one count).
 
-    It counts each call of a C function or method, such as ndarray.take,
-    np.where or np.maximum.reduce, as one (ndarray.max as three: the method,
-    numpy's Python wrapper and its reduce), but an operator, an index or a
-    ufunc applied elementwise as none: centers.take(idx, axis=0) counts 1
-    where centers[idx] counts 0, though the first is the faster gather.  A
-    bound on it reads a step that moves work between the two forms as
-    dearer or cheaper than it is."""
+    What counts: a call of a Python function, and a call made from Python
+    of a C function or method, such as ndarray.take, np.where or
+    np.maximum.reduce, one each (ndarray.max counts three: the method,
+    numpy's Python wrapper and its reduce).  What does not: an operator
+    (a + b, a @ b), an indexing expression (a[idx]) or a call of a ufunc
+    itself (np.exp(a)), which cProfile does not see.  So
+    centers.take(idx, axis=0) counts one and centers[idx] none, though the
+    first is the faster gather: a bound on this count reads a step that
+    moves work between the two forms as dearer or cheaper than it is."""
     profile = cProfile.Profile()
     profile.enable()
     run()
