@@ -127,10 +127,6 @@ class EnsembleSummary:
     samples: np.ndarray  # (N, P)
     sample_steps: list[int]
 
-    @property
-    def n_samples(self) -> int:
-        return self.samples.shape[0]
-
 
 def run_chain(step_fn, state0: ChainState, schedule: ChainSchedule):
     """Drive a step function for total_steps steps, retaining thinned samples.

@@ -114,15 +114,13 @@ def cmd_run(args) -> int:
         },
     )
 
+    q75, q25 = np.percentile(summary.samples, [75, 25], axis=0)
     ensemble: dict = {
         "schema_version": SCHEMA_VERSION,
         "n_samples": int(summary.samples.shape[0]),
         "sample_steps": summary.sample_steps,
         "theta_mean": summary.samples.mean(axis=0).tolist(),
-        "theta_iqr": (
-            np.percentile(summary.samples, 75, axis=0)
-            - np.percentile(summary.samples, 25, axis=0)
-        ).tolist(),
+        "theta_iqr": (q75 - q25).tolist(),
         "acceptance_rate": record.acceptance_rate,
         "boundary_rejects": record.n_boundary_rejects,
     }

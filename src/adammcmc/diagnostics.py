@@ -21,6 +21,7 @@ from .experiments import (
     start_chain,
 )
 from .losses import BatchStream, GibbsTarget
+from .prolate import ProlateCovariance
 from .samplers import (
     AdamParams,
     ChainState,
@@ -124,13 +125,6 @@ def _dense_gaussian_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> 
     return -0.5 * (diff.size * np.log(2.0 * np.pi) + logdet + quad)
 
 
-def _iso_gaussian_logpdf(x: np.ndarray, mean: np.ndarray, var: float) -> float:
-    diff = x - mean
-    return -0.5 * (
-        diff.size * np.log(2.0 * np.pi * var) + float(diff @ diff) / var
-    )
-
-
 def _log_invariant_density(
     target: GibbsTarget,
     theta: np.ndarray,
@@ -141,9 +135,10 @@ def _log_invariant_density(
     tempered target times Gaussian momentum factors centered at the gradient
     and its square, with cp's variances s_1^2, s_2^2."""
     grad = target.oracle.grad(theta)
+    eye = np.eye(theta.size)
     value = target.log_unnorm(theta)
-    value += _iso_gaussian_logpdf(m.m1, grad, cp.s1_sq)
-    value += _iso_gaussian_logpdf(m.m2, grad**2, cp.s2_sq)
+    value += _dense_gaussian_logpdf(m.m1, grad, cp.s1_sq * eye)
+    value += _dense_gaussian_logpdf(m.m2, grad**2, cp.s2_sq * eye)
     return value
 
 
@@ -182,7 +177,7 @@ def detailed_balance_violations(
             grad**2 + np.sqrt(cp_density.s2_sq) * rng.standard_normal(dim),
         )
         u = adam_update_vector(m_tilde, BALANCE_STEP, ap)
-        cov = pp.sigma**2 * np.eye(dim) + pp.sigma_dir**2 * np.outer(u, u)
+        cov = ProlateCovariance(pp.sigma, pp.sigma_dir, u).dense()
 
         log_alpha_fwd = adammcmc_log_alpha(target, theta, tau, m_tilde, BALANCE_STEP, ap, pp, cp)
         log_alpha_bwd = adammcmc_log_alpha(target, tau, theta, m_tilde, BALANCE_STEP, ap, pp, cp)
@@ -221,7 +216,7 @@ class ScanRow:
 def apply_scan_value(config: RunConfig, param: str, value: float) -> RunConfig:
     """Override one scanned hyperparameter; 'beta' sets both momenta decays."""
     if param not in SCAN_FIELDS:
-        raise ValueError(f"unknown scan parameter {param!r}; choose from {SCAN_PARAMS}")
+        raise ConfigError("param", f"unknown scan parameter {param!r}; choose from {SCAN_PARAMS}")
     return config.replace(**dict.fromkeys(SCAN_FIELDS[param], float(value)))
 
 
@@ -266,8 +261,6 @@ def scan_acceptance(
     grid = list(grid)
     if not grid:
         raise ConfigError("grid", "scan grid is empty")
-    if param not in SCAN_PARAMS:
-        raise ConfigError("param", f"must be one of {SCAN_PARAMS}, got {param!r}")
     if n_replicates < 0:
         raise ConfigError("replicates", f"must be >= 0, got {n_replicates}")
     if jobs < 1:

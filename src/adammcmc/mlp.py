@@ -114,20 +114,13 @@ class MicroMlp:
             z[:, j] += b[j]
         return z
 
-    def logits(self, theta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        layers = self.unpack(theta)
-        return self._output(layers, self._hidden(layers, inputs))
-
     def forward(self, theta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """Class probabilities, one row per input (log-sum-exp stabilized)."""
-        _, e, total = _shifted_exp(self.logits(theta, inputs))
+        layers = self.unpack(theta)
+        _, e, total = _shifted_exp(self._output(layers, self._hidden(layers, inputs)))
         for j in range(e.shape[1]):
             e[:, j] /= total
         return e
-
-    def loss(self, theta: np.ndarray, inputs: np.ndarray, labels: np.ndarray) -> float:
-        """Mean cross entropy over the batch."""
-        return self.loss_forward(theta, inputs, labels)[0]
 
     def loss_forward(self, theta, inputs, labels) -> tuple[float, Activations]:
         """Mean cross entropy plus the activations `loss_backward` needs.
@@ -174,11 +167,6 @@ class MicroMlp:
                 # relu(z) > 0 exactly when z > 0 (NaN included)
                 dz *= hs[i] > 0.0
         return grad
-
-    def loss_and_grad(self, theta, inputs, labels):
-        """Mean cross entropy and its gradient w.r.t. the flat parameters."""
-        loss, saved = self.loss_forward(theta, inputs, labels)
-        return loss, self.loss_backward(theta, saved)
 
 
 def two_moons(n_train=2000, n_test=2000, noise=0.15, seed=20240517):

@@ -174,11 +174,6 @@ class ProlateCovariance:
     def log_det(self) -> float:
         return log_det(self.sigma, self.sigma_dir, self.direction, self.norm)
 
-    def log_reverse_ratio(self, x: np.ndarray) -> float:
-        if not 0.0 < self.norm < math.inf:
-            return 0.0
-        return log_reverse_ratio(self.sigma, self.sigma_dir, self.direction, self.norm, x)
-
     def inv_quad_form(self, x: np.ndarray) -> float:
         return inv_quad_form(self.sigma, self.sigma_dir, self.direction, self.norm, self._flat(x))
 

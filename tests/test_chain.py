@@ -69,7 +69,7 @@ class TestRunChain:
         sched = ChainSchedule(10, 0, 1, 10)
         state0 = ChainState.init(path[0], 0)
         summary, record = run_chain(make_stub_step(path), state0, sched)
-        assert summary.n_samples == 10
+        assert summary.samples.shape[0] == 10
         for i, step in enumerate(range(1, 11)):
             np.testing.assert_array_equal(summary.samples[i], path[step])
         assert record.acceptance_rate == 1.0

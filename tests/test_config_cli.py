@@ -629,7 +629,8 @@ class TestConsoleEntryPoint:
 
 
 class TestGoldenOutputs:
-    """Pinned digests of record.csv + samples.csv.
+    """Pinned digests of record.csv + samples.csv, and of the summary files
+    ensemble.json + samples_meta.json.
 
     Reruns on one commit giving the same bytes is criterion 10; these digests
     also pin the bytes across commits, so a change that alters sampler output
@@ -681,6 +682,26 @@ class TestGoldenOutputs:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         blob = (out / "record.csv").read_bytes() + (out / "samples.csv").read_bytes()
         assert hashlib.sha256(blob).hexdigest() == digest
+
+    # ensemble.json + samples_meta.json of each config above: the summary
+    # statistics (theta_mean, theta_iqr, acceptance, test accuracy and
+    # spread) and the sample metadata, the same at one and two BLAS threads
+    SUMMARY_DIGESTS = {
+        "quadratic": "02439a094bd697860000fda70b3f8392f008b9c826254b99a48fa74edad91906",
+        "mlp": "0aaae5b19284ce68c4177419977112e6e09470217399631b44fae67e7f04c4f6",
+        "mlp_minibatch": "2ac98cb6730852df1f06d1aa41467c3094312f454ec4fff59cd42aacbe6a547d",
+        "mlp_mala": "dc51ee65a2c3649ea569cd913ff91c215f800310cd4557faec3b65f90da50665",
+        "mlp_sgd": "c0b0c918c935cd20b28d10e2c45da830104473c830f0051df068f0d3a124077a",
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_summary_digest(self, tmp_path, name):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(self.CONFIGS[name][0]))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        blob = (out / "ensemble.json").read_bytes() + (out / "samples_meta.json").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == self.SUMMARY_DIGESTS[name]
 
 
 class TestInitialLoss:

@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 from adammcmc import experiments
 from adammcmc.chain import NumericalAbort, run_chain, save_samples_csv
 from adammcmc.config import RunConfig
-from adammcmc.diagnostics import SCAN_PARAMS, _scan_group, apply_scan_value, scan_acceptance
+from adammcmc.diagnostics import (
+    SCAN_FIELDS,
+    SCAN_PARAMS,
+    _scan_group,
+    apply_scan_value,
+    scan_acceptance,
+)
 from adammcmc.experiments import _lockstep, build_experiment, run_experiment, seed_chain
 from adammcmc.losses import (
     GibbsTarget,
@@ -97,6 +103,14 @@ def scan_tasks(dataset, target, param, chains, batch_size, correction, rho):
 def row_bytes(row):
     floats = (row.value, row.mean_acceptance, row.metric)
     return (row.param, row.seed, row.metric_name, struct.pack("3d", *floats))
+
+
+def test_every_scan_parameter_is_a_row_field():
+    # scan_acceptance runs each group's chains through run_experiments, which
+    # raises for configs that differ outside ROW_FIELDS; the draws below
+    # cover only today's scan parameters
+    scanned = {field for fields in SCAN_FIELDS.values() for field in fields}
+    assert scanned | {"seed"} <= set(experiments.ROW_FIELDS)
 
 
 class TestBitIdentity:

@@ -34,6 +34,12 @@ from adammcmc.mlp import (
 from adammcmc.samplers import Evaluation
 
 
+def loss_and_grad(net, theta, inputs, labels):
+    """The classifier's loss and gradient through the pair its oracle runs."""
+    loss, saved = net.loss_forward(theta, inputs, labels)
+    return loss, net.loss_backward(theta, saved)
+
+
 def central_diff_grad(fn, theta, rel_step=1e-4, mask_fn=None):
     """Independent finite-difference oracle for gradients.
 
@@ -191,7 +197,7 @@ class TestMlpForwardMemo:
     @staticmethod
     def fresh(net, x, y, theta, indices):
         rows = slice(None) if indices is None else indices
-        return net.loss_and_grad(theta, x[rows], y[rows])
+        return loss_and_grad(net, theta, x[rows], y[rows])
 
     @pytest.mark.parametrize("indices", [None, np.array([1, 4, 9, 10, 33, 50])])
     def test_warm_gradient_is_bitwise_fresh(self, indices, sweeps):
@@ -284,7 +290,7 @@ def separate_formulas(oracle, theta, indices):
         g[1:] += 2.0 * oracle.curvature * resid
         return loss, g
     x, y = oracle.inputs[rows], oracle.labels[rows]
-    return oracle.net.loss(theta, x, y), oracle.net.loss_and_grad(theta, x, y)[1]
+    return loss_and_grad(oracle.net, theta, x, y)
 
 
 @functools.cache
@@ -417,7 +423,7 @@ class TestMicroMlp:
         net = MicroMlp((2, 4, 2))
         theta = np.full(net.n_params, 200.0)
         x = np.array([[1.0, -1.0], [0.5, 2.0]])
-        assert np.isfinite(net.loss(theta, x, np.array([0, 1])))
+        assert np.isfinite(net.loss_forward(theta, x, np.array([0, 1]))[0])
 
     def test_forward_deterministic(self):
         net = MicroMlp()
@@ -451,7 +457,7 @@ def reference_probs(net, theta, inputs):
 
 
 def reference_loss_and_grad(net, theta, inputs, labels):
-    """`MicroMlp.loss_and_grad` by its first formulas: numpy row and column
+    """`loss_and_grad` by its first formulas: numpy row and column
     reductions and a fresh array for every intermediate."""
     layers, hs, logits = reference_hidden(net, theta, inputs)
     zmax = logits.max(axis=1)
@@ -491,7 +497,7 @@ class TestSweepBits:
         x = rng.standard_normal((n, 2))
         y = rng.integers(0, 2, n)
         loss, grad = reference_loss_and_grad(net, theta, x, y)
-        got_loss, got_grad = net.loss_and_grad(theta, x, y)
+        got_loss, got_grad = loss_and_grad(net, theta, x, y)
         assert got_loss == loss
         np.testing.assert_array_equal(got_grad, grad)
         assert got_grad.tobytes() == grad.tobytes()  # signed zeros included
@@ -504,7 +510,7 @@ class TestSweepBits:
         x, y, _, _ = two_moons(n_train=2000, n_test=1)
         theta = net.init_params(np.random.default_rng(11)) * scale
         loss, grad = reference_loss_and_grad(net, theta, x, y)
-        got_loss, got_grad = net.loss_and_grad(theta, x, y)
+        got_loss, got_grad = loss_and_grad(net, theta, x, y)
         assert np.float64(got_loss).tobytes() == np.float64(loss).tobytes()
         assert got_grad.tobytes() == grad.tobytes()  # signed zeros included
         assert net.forward(theta, x).tobytes() == reference_probs(net, theta, x).tobytes()
@@ -559,7 +565,7 @@ class TestSweepBits:
             finally:
                 tracemalloc.stop()
 
-        ours = peak(lambda: net.loss_and_grad(theta, x, y))
+        ours = peak(lambda: loss_and_grad(net, theta, x, y))
         reference = peak(lambda: reference_loss_and_grad(net, theta, x, y))
         assert ours <= 0.85 * reference, (ours, reference)
 

@@ -292,6 +292,22 @@ class TestAdamMcmcStep:
         assert info.accepted
         np.testing.assert_allclose(new.theta, theta0, atol=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_drift(self):
+        # at the minimum with zero momenta the gradient, and so u, is 0: the
+        # proposal ratio is 0 and log alpha the bare tempered loss ratio
+        target = quadratic_target(3, lam=1.5)
+        ap = AdamParams(gamma=0.05, beta1=0.9, beta2=0.9)
+        theta = np.zeros(3)
+        for sigma_dir in (0.0, 2.0):
+            pp = ProposalParams(sigma=0.5, sigma_dir=sigma_dir)
+            for seed in range(20):
+                _, info = adammcmc_step(ChainState.init(theta, seed), target, ap, pp)
+                tau = pp.sigma * np.random.default_rng(seed).standard_normal(3)
+                loss_ratio = -target.lam * (target.oracle.eval(tau) - target.oracle.eval(theta))
+                assert info.log_alpha == min(0.0, loss_ratio)
+                assert info.u_norm == 0.0
+
     def test_random_walk_reduction(self):
         # sigma_dir=0, beta=0, delta enormous: u ~ 0, so the acceptance is
         # the plain tempered loss ratio of a symmetric random walk.
