@@ -122,10 +122,9 @@ class ChainRecord:
 
 @dataclass
 class EnsembleSummary:
-    """Thinned parameter samples and the steps they were taken at."""
+    """Thinned parameter samples, taken at the schedule's sample_steps."""
 
     samples: np.ndarray  # (N, P)
-    sample_steps: list[int]
 
 
 def run_chain(step_fn, state0: ChainState, schedule: ChainSchedule):
@@ -171,7 +170,7 @@ def run_chain(step_fn, state0: ChainState, schedule: ChainSchedule):
             *[np.ascontiguousarray(a[:, j]) for a in columns], n_boundary_rejects=int(boundary[j])
         )
         _check_finite(record)
-        summary = EnsembleSummary(np.ascontiguousarray(samples[:, j]), schedule.sample_steps)
+        summary = EnsembleSummary(np.ascontiguousarray(samples[:, j]))
         chains.append((summary, record))
     if lead:
         return chains

@@ -94,10 +94,10 @@ def write_manifest(out_dir: Path, config: RunConfig, extra: dict | None = None) 
 
 def cmd_run(args) -> int:
     config = load_config(args.config, args.seed, args.out)
-    out_dir = make_out_dir(config.out_dir)
-
+    check_out_dir(config.out_dir)  # created after the chain: a bad dataset or divergence leaves none
     result = run_experiment(config)
-    record, summary = result.record, result.summary
+    record, summary, schedule = result.record, result.summary, result.experiment.schedule
+    out_dir = make_out_dir(config.out_dir)
 
     record.to_csv(out_dir / "record.csv")
     save_samples_csv(out_dir / "samples.csv", summary.samples)
@@ -107,8 +107,8 @@ def cmd_run(args) -> int:
             "schema_version": SCHEMA_VERSION,
             "dim": int(summary.samples.shape[1]),
             "n_samples": int(summary.samples.shape[0]),
-            "sample_steps": summary.sample_steps,
-            "schedule": dataclasses.asdict(result.experiment.schedule),
+            "sample_steps": schedule.sample_steps,
+            "schedule": dataclasses.asdict(schedule),
             "config_hash": config.config_hash(),
             "seed": config.seed,
         },
@@ -118,7 +118,7 @@ def cmd_run(args) -> int:
     ensemble: dict = {
         "schema_version": SCHEMA_VERSION,
         "n_samples": int(summary.samples.shape[0]),
-        "sample_steps": summary.sample_steps,
+        "sample_steps": schedule.sample_steps,
         "theta_mean": summary.samples.mean(axis=0).tolist(),
         "theta_iqr": (q75 - q25).tolist(),
         "acceptance_rate": record.acceptance_rate,

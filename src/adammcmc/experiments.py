@@ -82,15 +82,13 @@ def correction_params(config: RunConfig) -> CorrectionParams | None:
 def build_experiment(config: RunConfig) -> Experiment:
     """Instantiate a config's target (and dataset, for the classifier) and records."""
     config.validate()
+    net = test_x = test_y = None
     if config.target == "quadratic":
         target = quadratic_target(config.dim, config.lam, config.prior_half_width)
-        net = test_x = test_y = None
     elif config.target == "noisy_quadratic":
         target = noisy_quadratic_target(config.dim, config.lam, config.prior_half_width)
-        net = test_x = test_y = None
     elif config.target == "banana":
         target = banana_target(config.dim, config.lam, config.prior_half_width)
-        net = test_x = test_y = None
     else:
         net = MicroMlp()
         if config.dataset:

@@ -109,7 +109,7 @@ class QuadraticLoss(LossOracle):
 
 
 class NoisyQuadraticLoss(LossOracle):
-    """Per-point quadratic losses |theta - c_i|^2 / 2 with random centers.
+    """Per-point quadratic losses |theta - c_i|^2 / 2, random centers c_i ~ N(0, I).
 
     The full loss is |theta - c_bar|^2 / 2 plus a constant, so the Gibbs
     posterior stays an exactly known (truncated) Gaussian around the center
@@ -117,10 +117,10 @@ class NoisyQuadraticLoss(LossOracle):
     analytic stand-in for studying the stochastic accept test.
     """
 
-    def __init__(self, dim: int, n_points: int = 400, center_scale: float = 1.0, seed: int = 1234):
+    def __init__(self, dim: int, n_points: int = 400, seed: int = 1234):
         super().__init__(dim, n_points)
         rng = np.random.default_rng(seed)
-        self.centers = center_scale * rng.standard_normal((n_points, dim))
+        self.centers = rng.standard_normal((n_points, dim))
         self.center_mean = self.centers.mean(axis=0)
 
     def batch(self, indices):
@@ -232,7 +232,7 @@ class MlpClassificationLoss(LossOracle):
         else:
             data = indices if type(indices) is Gathered else self.batch(indices)
         loss, saved = self.net.loss_forward(theta, *data)
-        return loss, lambda: self.net.loss_backward(theta, saved)
+        return loss, lambda: self.net.loss_backward(saved)
 
 
 def make_batches(n: int, batch_size: int, rng):
@@ -321,30 +321,22 @@ class GibbsTarget:
         return -self.lam * self.oracle.eval(theta)
 
 
-def quadratic_target(dim: int, lam: float = 1.0, half_width: float = 100.0, n_points: int = 100) -> GibbsTarget:
+def quadratic_target(dim: int, lam: float = 1.0, half_width: float = 100.0) -> GibbsTarget:
     """Gibbs target for |theta|^2/2: a centered Gaussian with std lam^{-1/2},
     truncated to the prior box."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    return GibbsTarget(QuadraticLoss(dim, n_points), lam, PriorBox(half_width))
+    return GibbsTarget(QuadraticLoss(dim), lam, PriorBox(half_width))
 
 
-def banana_target(dim: int = 2, lam: float = 1.0, half_width: float = 100.0, curvature: float = 10.0, n_points: int = 100) -> GibbsTarget:
-    return GibbsTarget(BananaLoss(dim, curvature, n_points), lam, PriorBox(half_width))
+def banana_target(dim: int = 2, lam: float = 1.0, half_width: float = 100.0) -> GibbsTarget:
+    return GibbsTarget(BananaLoss(dim), lam, PriorBox(half_width))
 
 
-def noisy_quadratic_target(
-    dim: int,
-    lam: float = 1.0,
-    half_width: float = 100.0,
-    n_points: int = 400,
-    center_scale: float = 1.0,
-    seed: int = 1234,
-) -> GibbsTarget:
+def noisy_quadratic_target(dim: int, lam: float = 1.0, half_width: float = 100.0, n_points: int = 400) -> GibbsTarget:
     """Gaussian posterior around the mean of random per-point centers; batch
     evaluations of the loss are genuinely noisy."""
-    oracle = NoisyQuadraticLoss(dim, n_points, center_scale, seed)
-    return GibbsTarget(oracle, lam, PriorBox(half_width))
+    return GibbsTarget(NoisyQuadraticLoss(dim, n_points), lam, PriorBox(half_width))
 
 
 def mlp_target(net: MicroMlp, inputs, labels, lam: float = 1.0, half_width: float = 100.0) -> GibbsTarget:

@@ -140,9 +140,9 @@ class MicroMlp:
         loss = float(np.add.reduce(lse - logits.ravel()[label_index]) / n)
         return loss, Activations(layers, hs, logits, lse, label_index)
 
-    def loss_backward(self, theta, saved: Activations) -> np.ndarray:
+    def loss_backward(self, saved: Activations) -> np.ndarray:
         """Gradient of the mean cross entropy w.r.t. the flat parameters,
-        back-propagated from the activations `loss_forward` saved at theta.
+        back-propagated from the activations `loss_forward` saved.
 
         Each layer's dW and db are written straight into their place in one
         flat gradient."""
@@ -169,8 +169,8 @@ class MicroMlp:
         return grad
 
 
-def two_moons(n_train=2000, n_test=2000, noise=0.15, seed=20240517):
-    """Two interleaved noisy half circles, fixed seed by default.
+def two_moons(n_train=2000, n_test=2000, seed=20240517):
+    """Two interleaved half circles plus N(0, 0.15^2) noise, fixed seed by default.
 
     Returns (x_train, y_train, x_test, y_test) with 2-D inputs and 0/1 labels.
     """
@@ -183,7 +183,7 @@ def two_moons(n_train=2000, n_test=2000, noise=0.15, seed=20240517):
         t_in = rng.uniform(0.0, np.pi, n_inner)
         outer = np.column_stack([np.cos(t_out), np.sin(t_out)])
         inner = np.column_stack([1.0 - np.cos(t_in), 0.5 - np.sin(t_in)])
-        x = np.vstack([outer, inner]) + noise * rng.standard_normal((n, 2))
+        x = np.vstack([outer, inner]) + 0.15 * rng.standard_normal((n, 2))
         y = np.concatenate([np.zeros(n_outer, dtype=int), np.ones(n_inner, dtype=int)])
         perm = rng.permutation(n)
         return x[perm], y[perm]
@@ -193,14 +193,14 @@ def two_moons(n_train=2000, n_test=2000, noise=0.15, seed=20240517):
     return x_train, y_train, x_test, y_test
 
 
-def ood_inputs(n=500, seed=20240518):
+def ood_inputs(n=500):
     """Inputs well above the two-moons support (a band with no training data).
 
     Very distant inputs saturate the logits of every ensemble member and the
     prediction spread collapses to zero there; this band is far from the
     support but still in the region where member predictions react.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20240518)
     return np.column_stack(
         [rng.uniform(-0.5, 3.0, n), rng.uniform(2.8, 4.5, n)]
     )

@@ -248,8 +248,9 @@ def _accept_or_stay(
     momenta: Momenta, log_alpha: float, u_norm: float,
 ):
     """The Metropolis test's last draw: one uniform keeps the proposal tau or
-    the current point, each with its evaluation; u_norm is the drift's norm."""
-    accepted = bool(np.log(state.rng.random()) <= log_alpha)
+    the current point, each with its evaluation; u_norm is the drift's norm.
+    The test is strict: a uniform of 0.0 (log -inf) cannot pass a hard reject."""
+    accepted = bool(np.log(state.rng.random()) < log_alpha)
     new_theta, new = (tau, prop) if accepted else (state.theta, cur)
     new_state = ChainState(new_theta, momenta, state.step + 1, new, state.rng)
     info = StepInfo(accepted, float(log_alpha), float(new.loss), u_norm, prop.inside)
@@ -436,7 +437,7 @@ def adammcmc_rows_step(
     log_alpha = np.where(cur.inside, log_alpha, 0.0)
     log_alpha[~(in_p & np.isfinite(loss_p))] = -np.inf
 
-    accepted = log_u <= log_alpha
+    accepted = log_u < log_alpha  # strict, as in _accept_or_stay
     new_loss = np.where(accepted, loss_p, cur.loss)
     new_inside = np.where(accepted, in_p, cur.inside)
     if batch is not None:

@@ -277,6 +277,7 @@ class TestCmdRun:
         assert "diverged at step" in capsys.readouterr().err
         assert not (out / "record.csv").exists()
         assert not (out / "samples.csv").exists()
+        assert not out.exists()
 
     def test_half_set_rho_exit_2(self, tmp_path, capsys):
         # with rho2 unset the run used to fall back to s_sq for both levels
@@ -604,6 +605,8 @@ class TestBadPaths:
             argv = [command, "--config", str(config_path), "--out", str(out)]
         assert main(argv + self.EXTRA.get(command, [])) == 2
         assert f"'{field}'" in capsys.readouterr().err
+        if case != "out_is_file":  # every command creates its directory only after its work
+            assert not out.exists()
 
 
 class TestConsoleEntryPoint:

@@ -135,7 +135,6 @@ class TestBitIdentity:
             assert record.step_seconds is None
             assert record.n_boundary_rejects == alone.record.n_boundary_rejects
             assert summary.samples.tobytes() == alone.summary.samples.tobytes()
-            assert summary.sample_steps == alone.summary.sample_steps
         # a group of one runs its chain through run_experiment
         rows = _scan_group(tasks)
         assert [row_bytes(r) for r in rows] == [row_bytes(_scan_group([t])[0]) for t in tasks]

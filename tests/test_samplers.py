@@ -46,14 +46,20 @@ from adammcmc.samplers import (
 
 
 class StubRng:
-    """Deterministic stand-in for a Generator: fixed normals and uniform."""
+    """Deterministic stand-in for a Generator: fixed normals and uniform.
+
+    A lockstep row draws its P normals and its directional one into one
+    `out=` row, in the one-chain order: the vector, then the scalar."""
 
     def __init__(self, normal_vec, normal_scalar=0.0, uniform_value=0.5):
         self.normal_vec = np.asarray(normal_vec, dtype=float)
         self.normal_scalar = float(normal_scalar)
         self.uniform_value = float(uniform_value)
 
-    def standard_normal(self, size=None):
+    def standard_normal(self, size=None, out=None):
+        if out is not None:
+            out[:] = np.append(self.normal_vec, self.normal_scalar)[: out.size]
+            return out
         if size is None:
             return self.normal_scalar
         return self.normal_vec.copy()
@@ -871,6 +877,50 @@ class TestExactStartInvariance:
         monkeypatch.setattr(samplers, "_iso_log_density", lambda mean, sigma, x: 0.0)
         z = exact_start_z(exact_start_mala, quadratic_target(2, 1.0, 10.0))
         assert np.abs(z).max() > 4.0, z
+
+
+class TestZeroUniform:
+    """Generator.random() can return exactly 0.0, whose log is -inf; the
+    accept test must still reject a hard reject (log alpha = -inf)."""
+
+    @staticmethod
+    def start(theta0, target):
+        # normals of 50 at sigma 0.5 propose about (25, 25), outside the box
+        state = ChainState.init(theta0, 0)
+        state.rng = StubRng(np.full(2, 50.0), uniform_value=0.0)
+        loss, grad_fn = target.oracle.evaluate(state.theta, None)
+        state.current = Evaluation(loss, target.prior.contains(state.theta), True, grad_fn)
+        return state
+
+    @pytest.mark.parametrize("step", ["adam", "gradient", "mala"])
+    def test_out_of_box_proposal_rejected(self, step):
+        target = quadratic_target(2, half_width=10.0)
+        theta0 = np.array([0.1, 0.1])
+        ap, pp = AdamParams(gamma=1e-3), ProposalParams(sigma=0.5, sigma_dir=0.5)
+        state = self.start(theta0, target)
+        with np.errstate(divide="ignore"):  # log(0.0)
+            if step == "mala":
+                new, info = mala_step(state, target, gamma=1e-3, sigma=0.5)
+            else:
+                new, info = adammcmc_step(state, target, ap, pp, drift=step)
+        assert not info.proposal_in_prior
+        assert info.log_alpha == -np.inf
+        assert not info.accepted
+        np.testing.assert_array_equal(new.theta, theta0)
+
+    def test_out_of_box_rows_rejected(self):
+        target = quadratic_target(2, half_width=10.0)
+        starts = [np.array([0.1, 0.1]), np.array([-0.3, 0.2])]
+        rows_target = GibbsTarget(target.oracle, np.ones(2), target.prior)
+        rows_ap = AdamParams(1e-3, np.full((2, 1), 0.9), np.full((2, 1), 0.999))
+        rows_pp = ProposalParams(np.full(2, 0.5), np.full(2, 0.5))
+        state = ChainState.stack([self.start(theta0, target) for theta0 in starts])
+        with np.errstate(divide="ignore"):  # log(0.0)
+            new, info = samplers.adammcmc_rows_step(state, rows_target, rows_ap, rows_pp)
+        assert not info.proposal_in_prior.any()
+        assert (info.log_alpha == -np.inf).all()
+        assert not info.accepted.any()
+        np.testing.assert_array_equal(new.theta, np.array(starts))
 
 
 def test_one_norm_per_adam_drift_step(monkeypatch):
