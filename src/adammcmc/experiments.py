@@ -251,14 +251,13 @@ def _lockstep(experiments: list[Experiment], starts):
 
     target, ap = stacked("target", "lam"), stacked("ap", "beta1", "beta2", shape=(-1, 1))
     pp, cp = stacked("pp", "sigma", "sigma_dir"), stacked("cp", "s1_sq", "s2_sq")
-    if streams[0].batch_size == 0:
-        def step(state):
-            return adammcmc_rows_step(state, target, ap, pp, cp)
-    else:  # one stream cuts the chains' equal-length batches as (C, B) arrays
-        batches = BatchStream(streams[0].n, streams[0].batch_size, [s.rng for s in streams])
+    # one stream cuts the chains' equal-length batches as (C, B) arrays
+    batches = BatchStream(streams[0].n, streams[0].batch_size, [s.rng for s in streams])
+    full = batches.batch_size == 0
 
-        def step(state):
-            return adammcmc_rows_step(state, target, ap, pp, cp, batches.next())
+    def step(state):
+        return adammcmc_rows_step(state, target, ap, pp, cp, None if full else batches.next())
+
     return ChainState.stack(states), step
 
 

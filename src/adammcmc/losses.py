@@ -18,28 +18,19 @@ import numpy as np
 from .mlp import MicroMlp
 
 
-class Gathered(tuple):
-    """The data rows of a minibatch, as an oracle's batch() gathers them for
-    evaluate and evaluate_rows; a tuple, so building one runs no Python code."""
-
-
 class LossOracle(ABC):
     """Loss value + gradient provider with minibatch estimates.
 
-    `evaluate` is the one method an oracle defines: it returns a point's
-    loss and a zero-argument callable for its gradient on the same data.
-    `eval_batch`/`grad_batch` take either half of it, and `eval`/`grad` are
-    their full-data versions.  A batch averages over an index subset only.
-    Passing `indices=None` means the full dataset: the stored arrays are
-    used as they are, uncopied, and give the same bits as the batch path on
-    arange(n_points), so batch_size = n reproduces full evaluations bit for
-    bit.
-
-    A step that evaluates two points on one batch gathers it once:
-    `batch(indices)` returns a handle that evaluate (for a 1-D index array)
-    and evaluate_rows (for a (C, B) one) take in place of the indices, with
-    the bits the indices give.  An oracle without data rows returns the
-    indices themselves; one with data returns them gathered, as a Gathered.
+    `evaluate(theta, data)` is the one method an oracle defines: it returns
+    a point's loss and a zero-argument callable for its gradient on the same
+    data.  data is None, the full dataset (the stored arrays, uncopied), or
+    what `batch(indices)` returned for a sorted index array, whose mean over
+    those points only is an unbiased estimate of the full loss; nothing else.
+    A step gathers its batch once, for every point it evaluates, and
+    batch(arange(n_points)) gives the full data's bits, so batch_size = n
+    reproduces full evaluations bit for bit.  `eval_batch`/`grad_batch` take
+    an index array (or None) and gather it themselves, and `eval`/`grad` are
+    the full-data halves.
     """
 
     dim: int
@@ -50,22 +41,23 @@ class LossOracle(ABC):
         self.n_points = int(n_points)
 
     @abstractmethod
-    def evaluate(self, theta: np.ndarray, indices) -> tuple[float, Callable[[], np.ndarray]]:
-        """The loss at theta on the batch, and a callable for the gradient there."""
+    def evaluate(self, theta: np.ndarray, data) -> tuple[float, Callable[[], np.ndarray]]:
+        """The loss at theta on data (None or a batch() result), and a
+        callable for the gradient there."""
 
     def batch(self, indices):
-        """The handle of a 1-D or (C, B) index array that evaluate or
-        evaluate_rows takes in its place: the indices themselves here."""
+        """The data of a 1-D or (C, B) index array, as evaluate or
+        evaluate_rows reads it: the indices themselves here."""
         return indices
 
-    def evaluate_rows(self, thetas: np.ndarray, indices):
-        """evaluate on each row of a (C, P) thetas, each row on its row of a
-        (C, B) indices (or of their batch() handle, one handle a row), or all
-        on the full data when indices is None: the (C,) losses, and a
-        callable for the gradients of the rows it is given as an index array
-        (all rows when None).  This loop over evaluate is the reference each
-        override matches bit for bit."""
-        batches = [None] * len(thetas) if indices is None else indices
+    def evaluate_rows(self, thetas: np.ndarray, data):
+        """evaluate on each row of a (C, P) thetas: all on the full data when
+        data is None, else row c on row c of the (C, B) indices that data is
+        the batch() of.  Returns the (C,) losses and a callable for the
+        gradients of the rows it is given as an index array (all rows when
+        None).  This loop over evaluate is the reference each override
+        matches bit for bit."""
+        batches = [None] * len(thetas) if data is None else data
         out = [self.evaluate(theta, batch) for theta, batch in zip(thetas, batches)]
         fns = [fn for _, fn in out]
         return np.array([loss for loss, _ in out]), lambda rows=None: np.array(
@@ -73,16 +65,16 @@ class LossOracle(ABC):
         )
 
     def eval_batch(self, theta: np.ndarray, indices) -> float:
-        return self.evaluate(theta, indices)[0]
+        return self.evaluate(theta, None if indices is None else self.batch(indices))[0]
 
     def grad_batch(self, theta: np.ndarray, indices) -> np.ndarray:
-        return self.evaluate(theta, indices)[1]()
+        return self.evaluate(theta, None if indices is None else self.batch(indices))[1]()
 
     def eval(self, theta: np.ndarray) -> float:
-        return self.eval_batch(theta, None)
+        return self.evaluate(theta, None)[0]
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
-        return self.grad_batch(theta, None)
+        return self.evaluate(theta, None)[1]()
 
     def check_theta(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -97,11 +89,11 @@ class QuadraticLoss(LossOracle):
     def __init__(self, dim: int, n_points: int = 100):
         super().__init__(dim, n_points)
 
-    def evaluate(self, theta, indices):
+    def evaluate(self, theta, data):
         theta = self.check_theta(theta)
         return 0.5 * float(theta @ theta), theta.copy
 
-    def evaluate_rows(self, thetas, indices):
+    def evaluate_rows(self, thetas, data):
         # np.vecdot is each row's theta @ theta
         return 0.5 * np.vecdot(thetas, thetas), lambda rows=None: (
             thetas.copy() if rows is None else thetas[rows]
@@ -126,34 +118,29 @@ class NoisyQuadraticLoss(LossOracle):
     def batch(self, indices):
         # a (C, B) index array gathers as (B, C, P), so that each chain's
         # batch mean is a reduction over the leading axis, as for one chain;
-        # take copies the rows that fancy indexing would, in less time
-        return Gathered((self.centers.take(np.asarray(indices).T, axis=0),))
+        # take copies the rows that fancy indexing would, in less time.  A
+        # 1-tuple, not the bare rows, so raw indices passed as data raise
+        return (self.centers.take(np.asarray(indices).T, axis=0),)
 
-    def evaluate(self, theta, indices):
+    def evaluate(self, theta, data):
         # the loss and the gradient share one gather of the batch rows; each
         # mean is np.mean's own arithmetic (a pairwise add.reduce, then one
         # true divide by the count) without its Python wrappers
         theta = self.check_theta(theta)
-        if indices is None:
-            rows = self.centers
-        else:
-            rows = (indices if type(indices) is Gathered else self.batch(indices))[0]
+        rows = self.centers if data is None else data[0]
         n = rows.shape[0]
         sq = theta - rows
         sq *= sq
         loss = 0.5 * float(np.add.reduce(np.add.reduce(sq, axis=1)) / n)
-        if indices is None:
+        if data is None:
             return loss, lambda: theta - self.center_mean
         return loss, lambda: theta - np.add.reduce(rows, axis=0) / n
 
-    def evaluate_rows(self, thetas, indices):
+    def evaluate_rows(self, thetas, data):
         # evaluate's reductions, for all chains from one (B, C, P) gather of
         # their batch rows; the (B, C) squared distances are summed as (C, B)
         # rows, pairwise along each batch as evaluate sums its (B,) ones
-        if indices is None:
-            rows = self.centers[:, None]
-        else:
-            rows = (indices if type(indices) is Gathered else self.batch(indices))[0]
+        rows = self.centers[:, None] if data is None else data[0]
         n = rows.shape[0]
         sq = thetas - rows
         sq *= sq
@@ -162,7 +149,7 @@ class NoisyQuadraticLoss(LossOracle):
 
         def grads(sel=None):
             at = thetas if sel is None else thetas[sel]
-            if indices is None:
+            if data is None:
                 return at - self.center_mean
             return at - np.add.reduce(rows if sel is None else rows[:, sel], axis=0) / n
 
@@ -182,7 +169,7 @@ class BananaLoss(LossOracle):
         super().__init__(dim, n_points)
         self.curvature = float(curvature)
 
-    def evaluate(self, theta, indices):
+    def evaluate(self, theta, data):
         theta = self.check_theta(theta)
         head = theta[:-1]
         resid = theta[1:] - head**2
@@ -221,16 +208,14 @@ class MlpClassificationLoss(LossOracle):
 
     def batch(self, indices):
         indices = np.asarray(indices)
-        if indices.ndim == 2:  # one handle a row, for evaluate_rows' loop
+        if indices.ndim == 2:  # one batch a row, for evaluate_rows' loop
             return [self.batch(row) for row in indices]
-        return Gathered((self.inputs[indices], self.labels[indices]))
+        return self.inputs[indices], self.labels[indices]
 
-    def evaluate(self, theta, indices):
+    def evaluate(self, theta, data):
         theta = self.check_theta(theta)
-        if indices is None:
+        if data is None:
             data = self.inputs, self.labels
-        else:
-            data = indices if type(indices) is Gathered else self.batch(indices)
         loss, saved = self.net.loss_forward(theta, *data)
         return loss, lambda: self.net.loss_backward(saved)
 
@@ -260,14 +245,14 @@ class BatchStream:
     """Cycles through reshuffled epochs of minibatches from its own RNG, or
     from a list of C generators as (C, B) batches (see make_batches).
 
-    batch_size in (0, None) or >= n means full-batch mode: next() yields None
+    batch_size 0 or >= n means full-batch mode: next() yields None
     and the stream never touches its generator, so full and minibatch runs
     share identical proposal RNG streams.
     """
 
     def __init__(self, n: int, batch_size, rng: np.random.Generator):
         self.n = int(n)
-        self.batch_size = int(batch_size) if batch_size else 0
+        self.batch_size = int(batch_size)
         if self.batch_size >= self.n:
             self.batch_size = 0
         self.rng = rng

@@ -274,10 +274,10 @@ def mala_step(state: ChainState, target: GibbsTarget, gamma: float, sigma: float
     mean_fwd = theta - u
     z = state.rng.standard_normal(theta.size)
     tau = mean_fwd + sigma * z
-    prop = _evaluate(target, tau, batch)
 
     log_fwd = _iso_log_density(mean_fwd, sigma, tau)
     with np.errstate(invalid="ignore", over="ignore"):
+        prop = _evaluate(target, tau, batch)
         mean_bwd = tau - gamma * prop.grad()
         log_bwd = _iso_log_density(mean_bwd, sigma, theta)
 
@@ -464,6 +464,8 @@ def _optimizer_step(state: ChainState, oracle: LossOracle, batch, move):
     """The optimizer baselines' shared step: evaluate at theta, apply
     move(grad) -> (delta, momenta) as theta + delta, and log the pre-move
     loss, where the gradient was taken (the usual training-curve convention)."""
+    if batch is not None:
+        batch = oracle.batch(batch)
     loss, grad_fn = oracle.evaluate(state.theta, batch)
     delta, momenta = move(grad_fn())
     new_state = ChainState(state.theta + delta, momenta, state.step + 1, None, state.rng)

@@ -59,7 +59,7 @@ BASE = RunConfig(target="noisy_quadratic", dim=4, sigma=0.5, sigma_dir=1.0, step
                  gap=5, n_samples=6, gamma=0.05, beta1=0.9, beta2=0.9)
 
 
-@pytest.mark.parametrize("sampler", ["adammcmc", "mala"])
+@pytest.mark.parametrize("sampler", ["adammcmc", "mala", "adam", "sgd", "sghmc"])
 @pytest.mark.parametrize("batch_size", [0, 32])
 def test_one_chain_step_gathers_its_batch_once(counting, sampler, batch_size):
     experiment = build_experiment(BASE.replace(sampler=sampler, batch_size=batch_size))

@@ -756,28 +756,18 @@ class TestInitialLoss:
 
 
 class TestGoldenRewrittenPaths:
-    """Pinned digests of ensemble.json for TestGoldenOutputs' mlp config, and
-    of compare-mh's comparison.json + record_full.csv + record_stochastic.csv
-    for TestInitialLoss' minibatch config; the platform note of
-    TestGoldenOutputs applies."""
-
-    def run_digest(self, tmp_path, argv, config, names):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        out = tmp_path / "out"
-        assert main(argv + ["--config", str(path), "--out", str(out)]) == 0
-        blob = b"".join((out / name).read_bytes() for name in names)
-        return hashlib.sha256(blob).hexdigest()
-
-    def test_ensemble_json(self, tmp_path):
-        config, _ = TestGoldenOutputs.CONFIGS["mlp"]
-        digest = self.run_digest(tmp_path, ["run"], config, ["ensemble.json"])
-        assert digest == "b41d12ccc43f986ea68455f8c79d69d3e2dbd7d3a0d527cef2da84aaa6b3e3d1"
+    """Pinned digest of compare-mh's comparison.json + record_full.csv +
+    record_stochastic.csv for TestInitialLoss' minibatch config; the platform
+    note of TestGoldenOutputs applies."""
 
     def test_compare_mh(self, tmp_path):
-        config, _ = TestInitialLoss.MINIBATCH
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(TestInitialLoss.MINIBATCH[0]))
+        out = tmp_path / "out"
+        assert main(["compare-mh", "--config", str(path), "--out", str(out)]) == 0
         names = ["comparison.json", "record_full.csv", "record_stochastic.csv"]
-        digest = self.run_digest(tmp_path, ["compare-mh"], config, names)
+        blob = b"".join((out / name).read_bytes() for name in names)
+        digest = hashlib.sha256(blob).hexdigest()
         assert digest == "c7563af9a2c96f7ec0bc3b1eef8b5bb4bd154414ab0bf12afb26e0c4539402ec"
 
 
@@ -785,14 +775,18 @@ class TestGoldenStepPaths:
     """Pinned digests of record.csv + samples.csv for the optimizer baselines
     and the full momentum correction on TestGoldenOutputs' quadratic config,
     recorded before those steps shared their code paths (full_correction again
-    for the closed-form proposal ratio); the platform note of TestGoldenOutputs
-    applies."""
+    for the closed-form proposal ratio), and for the optimizer baselines on
+    TestInitialLoss' minibatch config, recorded before their step gathered its
+    own batch; the platform note of TestGoldenOutputs applies."""
 
     DIGESTS = {
         "adam": "aa6efbbbb6ca54ffc44f022d677e2c22b98ff455ff32964d10ff269c30167f29",
         "sgd": "5e3d7fec54b517e01831037a649a8ac22bf179353729653a321834b9cd2dc739",
         "sghmc": "e38dfc36cbe2147678a48ec6c5572ecae3d735feaf95686d9c4d400ff9a82bfc",
         "full_correction": "9bfb3107d40109a66f789789a4df749dc6b0d0461886800a44ee4c7169a28037",
+        "adam_minibatch": "f110021686a7db30e752a00a4ec56842b98b38c15433521a77195f86f1763736",
+        "sgd_minibatch": "693591c5d93230c32aa67187605a902d921bc28aef4b88fbad1c857a44e11d5c",
+        "sghmc_minibatch": "38de5f501635b04662ed52efd34962f5365310eef4e0ab9edf485f0122c0721e",
     }
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
@@ -800,6 +794,8 @@ class TestGoldenStepPaths:
         config, _ = TestGoldenOutputs.CONFIGS["quadratic"]
         if name == "full_correction":
             config = dict(config, correction="full", s_sq=1e-2)
+        elif name.endswith("_minibatch"):
+            config = dict(TestInitialLoss.MINIBATCH[0], sampler=name.removesuffix("_minibatch"))
         else:
             config = dict(config, sampler=name)
         path = tmp_path / "config.json"

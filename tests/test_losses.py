@@ -15,7 +15,6 @@ from adammcmc.experiments import run_experiment
 from adammcmc.losses import (
     BananaLoss,
     BatchStream,
-    Gathered,
     GibbsTarget,
     MlpClassificationLoss,
     NoisyQuadraticLoss,
@@ -166,7 +165,7 @@ class TestBatching:
         rng = np.random.default_rng(1)
         for oracle in make_oracles():
             theta = rng.standard_normal(oracle.dim)
-            loss, grad_fn = oracle.evaluate(theta, np.arange(oracle.n_points))
+            loss, grad_fn = oracle.evaluate(theta, oracle.batch(np.arange(oracle.n_points)))
             assert loss == oracle.eval(theta)
             np.testing.assert_array_equal(grad_fn(), oracle.grad(theta))
 
@@ -204,7 +203,7 @@ class TestMlpForwardMemo:
     def test_warm_gradient_is_bitwise_fresh(self, indices, sweeps):
         net, oracle, x, y, rng = self.make_case()
         theta = net.init_params(rng)
-        loss, grad_fn = oracle.evaluate(theta, indices)
+        loss, grad_fn = oracle.evaluate(theta, None if indices is None else oracle.batch(indices))
         before = sweeps[0]
         got = grad_fn()
         assert sweeps[0] == before  # served from the kept forward pass
@@ -325,7 +324,7 @@ def test_evaluate_equals_separate_calls(name, dim, batch_size, data):
         rows = data.draw(rows)
         batch = np.array(sorted(rows))
     want_loss, want_grad = separate_formulas(oracle, theta, batch)
-    loss, grad_fn = oracle.evaluate(theta, batch)
+    loss, grad_fn = oracle.evaluate(theta, None if batch is None else oracle.batch(batch))
     assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
     assert grad_fn().tobytes() == want_grad.tobytes()
     assert oracle.eval_batch(theta, batch) == loss
@@ -517,7 +516,7 @@ class TestSweepBits:
         assert net.forward(theta, x).tobytes() == reference_probs(net, theta, x).tobytes()
 
     def test_oracle_evaluate_matches_reference(self):
-        # what a chain step calls: the oracle's evaluate on a Gathered
+        # what a chain step calls: the oracle's evaluate on a batch() of a
         # minibatch and on the full data, then the gradient callable
         net = MicroMlp()
         x, y, _, _ = two_moons(n_train=2000, n_test=1)
@@ -526,7 +525,7 @@ class TestSweepBits:
         theta = net.init_params(rng)
         rows = np.sort(rng.choice(2000, 200, replace=False))
         gathered = oracle.batch(rows)
-        assert type(gathered) is Gathered
+        assert type(gathered) is tuple
         for data, (xs, ys) in ((gathered, (x[rows], y[rows])), (None, (x, y))):
             loss, grad_fn = oracle.evaluate(theta, data)
             ref_loss, ref_grad = reference_loss_and_grad(net, theta, xs, ys)

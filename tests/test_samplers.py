@@ -238,6 +238,18 @@ class TestMalaStep:
         assert not info.proposal_in_prior
         np.testing.assert_array_equal(new.theta, np.array([0.4, 0.0]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_proposal_rejects_without_warning(self):
+        # gamma * grad ~ 1e200 puts tau near 1e200, where tau @ tau overflows:
+        # the proposal's evaluation is as quiet as the backward drift's
+        target = quadratic_target(2)
+        state = ChainState.init(np.array([1.0, -0.5]), np.random.default_rng(0))
+        new, info = mala_step(state, target, gamma=1e200, sigma=0.3)
+        assert info.log_alpha == -np.inf
+        assert not info.accepted
+        assert not info.proposal_in_prior
+        np.testing.assert_array_equal(new.theta, state.theta)
+
     def test_matches_scripted_mala_oracle(self):
         # Independent straight-line MALA on the 1D standard-normal target.
         lam, gamma, sigma, steps = 1.0, 0.05, 0.6, 40_000
