@@ -179,8 +179,12 @@ def cmd_compare_mh(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_verification
 
-    out_dir = check_out_dir(args.out) if args.out else None  # created by run_verification
-    results = run_verification(quick=args.quick, out_dir=out_dir)
+    if args.out:
+        check_out_dir(args.out)  # created after the criteria, as by the other commands
+    results = run_verification(quick=args.quick)
+    if args.out:
+        report = [dataclasses.asdict(r) | {"seconds": round(r.seconds, 2)} for r in results]
+        write_json(make_out_dir(args.out) / "verify_report.json", report)
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 

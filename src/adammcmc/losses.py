@@ -56,9 +56,10 @@ class LossOracle(ABC):
         the batch() of.  Returns the (C,) losses and a callable for the
         gradients of the rows it is given as an index array (all rows when
         None).  This loop over evaluate is the reference each override
-        matches bit for bit."""
+        matches bit for bit; its data holds one batch per row, and a batch
+        count other than the row count raises ValueError."""
         batches = [None] * len(thetas) if data is None else data
-        out = [self.evaluate(theta, batch) for theta, batch in zip(thetas, batches)]
+        out = [self.evaluate(theta, batch) for theta, batch in zip(thetas, batches, strict=True)]
         fns = [fn for _, fn in out]
         return np.array([loss for loss, _ in out]), lambda rows=None: np.array(
             [fns[c]() for c in (range(len(fns)) if rows is None else rows)]

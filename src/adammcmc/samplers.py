@@ -422,9 +422,9 @@ def adammcmc_rows_step(
     tau = (theta - u) + pp.sigma[:, None] * z[:, :p]
     tau += (pp.sigma_dir * z[:, p])[:, None] * u
 
-    loss_p, grad_p = oracle.evaluate_rows(tau, batch)
     in_p = target.prior.contains(tau)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        loss_p, grad_p = oracle.evaluate_rows(tau, batch)
         ratio = prolate.log_reverse_ratio(pp.sigma, pp.sigma_dir, u, norm, tau - theta)
         log_bwd = np.where((norm > 0.0) & (norm < math.inf), ratio, 0.0)
         log_c = 0.0

@@ -1,9 +1,9 @@
 """One-shot verification suite: every release gate in one place.
 
 Each criterion is a function returning (passed, detail).  `run_verification`
-executes them, prints one PASS/FAIL line per criterion and optionally writes
-a JSON report.  The quick subset runs the fast criteria at full strength and
-skips the long chain-based ones.
+executes them, prints one PASS/FAIL line per criterion and returns the
+results, writing nothing.  The quick subset runs the fast criteria at full
+strength and skips the long chain-based ones.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cli
 from .chain import ChainSchedule, ensemble_predict, run_chain
 from .config import RunConfig
 from .diagnostics import (
@@ -435,6 +434,8 @@ def criterion_determinism():
     import tempfile
     from pathlib import Path
 
+    from . import cli
+
     configs = [
         RunConfig(
             target="quadratic", dim=2, sampler="adammcmc", sigma=0.5, sigma_dir=1.0,
@@ -481,7 +482,7 @@ CRITERIA = [
 ]
 
 
-def run_verification(quick: bool = False, out_dir=None):
+def run_verification(quick: bool = False):
     """Execute the acceptance criteria, print one line each, return results."""
     results = []
     for name, fn, in_quick in CRITERIA:
@@ -499,14 +500,4 @@ def run_verification(quick: bool = False, out_dir=None):
 
     n_pass = sum(r.passed for r in results)
     print(f"{n_pass}/{len(results)} criteria passed")
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        cli.write_json(
-            out_dir / "verify_report.json",
-            [
-                {"name": r.name, "passed": r.passed, "detail": r.detail,
-                 "seconds": round(r.seconds, 2)}
-                for r in results
-            ],
-        )
     return results

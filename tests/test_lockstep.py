@@ -204,6 +204,14 @@ class TestBitIdentity:
         rows = np.flatnonzero(rng.random(n_chains) < 0.5)
         assert got_grads(rows).tobytes() == want_grads(rows).tobytes()
 
+    def test_row_loop_rejects_a_batch_count_that_differs_from_the_rows(self):
+        # the noisy oracle's batch() of (C, B) indices is one 1-tuple, not one
+        # batch a row: the row loop must not evaluate only its first row
+        loss = NoisyQuadraticLoss(5, n_points=60)
+        idx = np.arange(24).reshape(3, 8)
+        with pytest.raises(ValueError):
+            LossOracle.evaluate_rows(loss, np.zeros((3, 5)), loss.batch(idx))
+
 
 def pool_jobs():
     # the patched oracle below reaches pool workers only through fork
@@ -340,9 +348,23 @@ class TestErrors:
         # gamma = 1e200 puts |u|^2 past the float range: the norm takes the
         # guarded path, and every proposal lands outside the prior box
         config = BRITTLE_SCAN.replace(gamma=1e200, batch_size=0)
-        with np.errstate(all="ignore"):
-            rows = scan_acceptance(config, "sigma", [0.3, 0.6], n_replicates=1, jobs=jobs)
+        rows = scan_acceptance(config, "sigma", [0.3, 0.6], n_replicates=1, jobs=jobs)
+        with np.errstate(all="ignore"):  # the one-chain adam drift still warns
             alone = [_scan_group([(config.replace(sigma=v, seed=config.seed + r), "sigma", v)])[0]
                      for v in (0.3, 0.6) for r in range(2)]
         assert [row_bytes(r) for r in rows] == [row_bytes(r) for r in alone]
+        assert all(r.mean_acceptance == 0.0 for r in rows)
+
+    # warning filters reach pool workers only through fork, as the patched oracle does
+    @pytest.mark.parametrize("jobs", pool_jobs())
+    @pytest.mark.parametrize(
+        "target, batch_size", [("quadratic", 0), ("noisy_quadratic", 32), ("banana", 0)]
+    )
+    def test_overflowing_proposals_warn_nothing(self, jobs, target, batch_size):
+        # the row step evaluates each proposal inside its np.errstate block,
+        # so a loss that overflows is rejected without a warning
+        config = BRITTLE_SCAN.replace(target=target, gamma=1e200, batch_size=batch_size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = scan_acceptance(config, "sigma", [0.3, 0.6], n_replicates=1, jobs=jobs)
         assert all(r.mean_acceptance == 0.0 for r in rows)

@@ -1,5 +1,6 @@
-"""run_verification's single result path, driven by stub criteria, and
-criterion 7's rank correlation against scipy's."""
+"""run_verification's single result path and the report `adammcmc verify
+--out` writes from it, driven by stub criteria, and criterion 7's rank
+correlation against scipy's."""
 
 import json
 
@@ -38,7 +39,7 @@ def stub_criteria(monkeypatch):
 
 def test_report_has_one_entry_per_criterion(stub_criteria, tmp_path):
     out = tmp_path / "report"
-    results = verify.run_verification(out_dir=out)
+    assert main(["verify", "--out", str(out)]) == 1
 
     assert [f.name for f in out.iterdir()] == ["verify_report.json"]
     report = json.loads((out / "verify_report.json").read_text())
@@ -47,9 +48,32 @@ def test_report_has_one_entry_per_criterion(stub_criteria, tmp_path):
     assert report[0]["detail"] == "stub ok"
     assert report[1]["detail"] == "stub not ok"
     assert report[2]["detail"] == "raised RuntimeError: stub exploded"
+
+
+def test_run_verification_returns_its_results_and_writes_nothing(
+    stub_criteria, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    results = verify.run_verification()
+    assert list(tmp_path.iterdir()) == []
     assert [(r.name, r.passed, r.detail) for r in results] == [
-        (e["name"], e["passed"], e["detail"]) for e in report
+        ("stub pass", True, "stub ok"),
+        ("stub fail", False, "stub not ok"),
+        ("stub raise", False, "raised RuntimeError: stub exploded"),
     ]
+
+
+def test_out_that_becomes_a_file_while_criteria_run_exits_2(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "report"
+
+    def _clobber():
+        out.write_text("")
+        return True, "stub ok"
+
+    monkeypatch.setattr(verify, "CRITERIA", [("stub clobber", _clobber, True)])
+    assert main(["verify", "--out", str(out)]) == 2
+    assert "'out'" in capsys.readouterr().err
+    assert out.read_text() == ""
 
 
 def test_cli_verify_exits_1_on_failure(stub_criteria, tmp_path, capsys):
